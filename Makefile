@@ -1,4 +1,4 @@
-.PHONY: verify test race lint bench benchdiff fmt
+.PHONY: verify test race lint bench fmt
 
 # Tier-1 verify recipe (see ROADMAP.md): gofmt cleanliness, build, vet,
 # invariant lint, tests, and race-checked tests for the concurrent
@@ -25,10 +25,3 @@ fmt:
 
 bench:
 	go test -bench=. -benchmem
-
-# benchdiff measures the current tree's bench trajectory and compares it
-# against the newest checked-in BENCH_*.json (or BASELINE=file). Fails on
-# per-cell IPC drift, allocs/cycle growth, or (same host only) a >5%
-# geomean throughput regression. See DESIGN.md §17.
-benchdiff:
-	./scripts/benchdiff.sh $(BASELINE)

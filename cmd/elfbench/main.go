@@ -47,7 +47,6 @@ import (
 	"elfetch/internal/eval"
 	"elfetch/internal/exec"
 	"elfetch/internal/obs"
-	"elfetch/internal/perf"
 	"elfetch/internal/report"
 	"elfetch/internal/store"
 )
@@ -128,11 +127,8 @@ func dumpEvents(events *obs.Ring) {
 func printStoreStats(w io.Writer, st store.Store) {
 	fmt.Fprintln(w, "persistent store:")
 	for _, t := range st.Stats() {
-		fmt.Fprintf(w, "  %-5s hits=%d misses=%d puts=%d entries=%d bytes=%d",
-			t.Tier, t.Hits, t.Misses, t.Puts, t.Entries, t.Bytes)
-		if t.Tier == "disk" {
-			fmt.Fprintf(w, " segments=%d compactions=%d", t.Segments, t.Compactions)
-		}
+		fmt.Fprintf(w, "  %-5s hits=%d misses=%d puts=%d entries=%d bytes=%d segments=%d compactions=%d",
+			t.Tier, t.Hits, t.Misses, t.Puts, t.Entries, t.Bytes, t.Segments, t.Compactions)
 		if t.Errors > 0 {
 			fmt.Fprintf(w, " errors=%d", t.Errors)
 		}
@@ -174,8 +170,6 @@ func main() {
 	slowCellMS := flag.Int("slow-cell-ms", 0, "record a slow_cell flight-recorder event for cells slower than this (0 = off)")
 	storeDir := flag.String("store-dir", "", "persistent result store directory (empty = no store); a rerun answers stored cells without re-simulating")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "persistent store quota in bytes (0 = 1 GiB); compaction evicts oldest entries beyond it")
-	benchOut := flag.String("bench-out", "", "run the fixed perf suite and write a BENCH_<n>.json trajectory point to this file")
-	benchCompare := flag.String("bench-compare", "", "compare two trajectory points as OLD.json,NEW.json; exits 1 on a blocking regression (see make benchdiff)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
@@ -252,51 +246,6 @@ func main() {
 	}
 	if err := p.Validate(); err != nil {
 		usage(err)
-	}
-
-	// Bench-trajectory modes are self-contained: they run the fixed perf
-	// suite (not the -warmup/-insts figure parameters, so points stay
-	// comparable across runs) and exit.
-	if *benchOut != "" && *benchCompare != "" {
-		usage(fmt.Errorf("-bench-out and -bench-compare are mutually exclusive"))
-	}
-	if (*benchOut != "" || *benchCompare != "") &&
-		(*fig != 0 || *all || *list || *config || *btbTab || *hist != "" || *sweep || *ablate || *sweepFAQ) {
-		usage(fmt.Errorf("-bench-out/-bench-compare run the fixed suite and cannot be combined with figure/table modes"))
-	}
-	if *benchOut != "" {
-		rec, err := perf.DefaultSuite().Run(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		if err := perf.WriteRecord(*benchOut, rec); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s: geomean %.0f cycles/sec (%.0f insts/sec), %.6f allocs/cycle over %d cells\n",
-			*benchOut, rec.CyclesPerSec, rec.InstsPerSec, rec.AllocsPerCycle, len(rec.Cells))
-		flush()
-		return
-	}
-	if *benchCompare != "" {
-		parts := strings.SplitN(*benchCompare, ",", 2)
-		if len(parts) != 2 {
-			usage(fmt.Errorf("-bench-compare wants OLD.json,NEW.json"))
-		}
-		oldRec, err := perf.ReadRecord(parts[0])
-		if err != nil {
-			fatal(err)
-		}
-		newRec, err := perf.ReadRecord(parts[1])
-		if err != nil {
-			fatal(err)
-		}
-		rep := perf.Compare(oldRec, newRec)
-		rep.Write(os.Stdout)
-		flush()
-		if !rep.OK() {
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *spansOut != "" && *backend != "fleet" {

@@ -12,7 +12,6 @@
 //	GET    /v1/workloads       the workload registry
 //	GET    /v1/figures/{6..9}  run or fetch a figure matrix (?format=...)
 //	POST   /v1/cells           run one evaluation cell (fleet worker endpoint)
-//	GET    /v1/cells/{key}     fetch one stored cell result (peer-fill endpoint)
 //	GET    /v1/healthz         liveness probe for fleet coordinators
 //	GET    /metrics            Prometheus text exposition (fleet view on a coordinator)
 //	GET    /debug/stats        scheduler/cache/throughput metrics
@@ -36,9 +35,9 @@
 //
 // Persistent store: -store-dir DIR keeps cell results on disk, so a
 // restarted elfd answers previously simulated cells without re-running
-// them; -store-max-bytes bounds it. -peer URL makes this worker consult
-// another elfd's GET /v1/cells/{key} before simulating (combined with
-// -store-dir, peer hits land on the local disk). See DESIGN.md §15.
+// them; -store-max-bytes bounds it. POST /v1/cells consults the store
+// behind the scheduler cache; a coordinator consults it before
+// dispatching. See DESIGN.md §15.
 package main
 
 import (
@@ -61,40 +60,23 @@ import (
 	"elfetch/internal/store"
 )
 
-// buildStore assembles the persistent result store from the CLI flags:
-// a disk tier under dir, optionally layered over a peer tier (reads
-// promote peer hits into the local disk). Returns nil when no flag asks
-// for one.
-func buildStore(dir string, maxBytes int64, peer string, reg *obs.Registry, events *obs.Ring, logger *slog.Logger) (store.Store, error) {
-	var st store.Store
-	if dir != "" {
-		d, err := store.Open(store.DiskConfig{
-			Dir:      dir,
-			MaxBytes: maxBytes,
-			Metrics:  reg,
-			Events:   events,
-			Logger:   logger,
-		})
-		if err != nil {
-			return nil, err
-		}
-		st = d
+// openStore opens the persistent result store under dir, or returns nil
+// when no -store-dir was given.
+func openStore(dir string, maxBytes int64, reg *obs.Registry, events *obs.Ring, logger *slog.Logger) (store.Store, error) {
+	if dir == "" {
+		return nil, nil
 	}
-	if peer != "" {
-		p, err := store.NewPeer(store.PeerConfig{Base: peer, Metrics: reg})
-		if err != nil {
-			if st != nil {
-				st.Close()
-			}
-			return nil, err
-		}
-		if st != nil {
-			st = store.NewTiered(st, p)
-		} else {
-			st = p
-		}
+	d, err := store.Open(store.DiskConfig{
+		Dir:      dir,
+		MaxBytes: maxBytes,
+		Metrics:  reg,
+		Events:   events,
+		Logger:   logger,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return st, nil
+	return d, nil
 }
 
 // splitFleet parses the -fleet flag into worker base URLs.
@@ -150,7 +132,6 @@ func main() {
 	eventsSize := flag.Int("events", 0, "flight-recorder ring size (0 = 4096)")
 	storeDir := flag.String("store-dir", "", "persistent result store directory (empty = no store); restarts answer stored cells without re-simulating")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "persistent store quota in bytes (0 = 1 GiB); compaction evicts oldest entries beyond it")
-	peer := flag.String("peer", "", "peer elfd base URL to read-through before simulating (e.g. the coordinator); combined with -store-dir, peer hits land on the local disk")
 	flag.Parse()
 
 	logger, err := buildLogger(*logLevel, *logFormat)
@@ -185,14 +166,14 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	st, err := buildStore(*storeDir, *storeMaxBytes, *peer, reg, events, logger)
+	st, err := openStore(*storeDir, *storeMaxBytes, reg, events, logger)
 	if err != nil {
 		logger.Error("store setup", "err", err)
 		os.Exit(2)
 	}
 	if st != nil {
 		defer st.Close()
-		logger.Info("persistent store", "dir", *storeDir, "peer", *peer)
+		logger.Info("persistent store", "dir", *storeDir)
 	}
 
 	var backend exec.Backend

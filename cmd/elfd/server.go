@@ -63,9 +63,8 @@ type serverOptions struct {
 	// /debug/stats. The caller owns the scrape cadence.
 	Federation *obs.Federation
 	// Store, when non-nil, is the persistent result store: POST /v1/cells
-	// consults it under the cell key before simulating and fills it after,
-	// and GET /v1/cells/{key} serves stored results to peers. The caller
-	// owns it (closes it on shutdown).
+	// consults it under the cell key before simulating and fills it after.
+	// The caller owns it (closes it on shutdown).
 	Store store.Store
 }
 
@@ -118,7 +117,6 @@ func newServer(s *sched.Scheduler, defaults eval.Params, opt serverOptions) *ser
 			"HTTP requests served, by status class.", obs.L("code", class))
 	}
 	srv.mux.HandleFunc("POST /v1/cells", srv.handleCell)
-	srv.mux.HandleFunc("GET /v1/cells/{key}", srv.handleCellLookup)
 	srv.mux.HandleFunc("GET /v1/healthz", srv.handleHealthz)
 	srv.mux.HandleFunc("POST /v1/jobs", srv.handleSubmit)
 	srv.mux.HandleFunc("GET /v1/jobs/{id}", srv.handleJob)
@@ -572,12 +570,14 @@ type runResult struct {
 }
 
 // handleCell executes one evaluation cell synchronously — the fleet
-// worker endpoint internal/exec.Fleet dispatches to. The cell runs
-// through the scheduler under the same content-address exec.Local would
-// use, so repeats are answered from cache and concurrent identical cells
-// coalesce. Cells always run on this worker's own pool, never through
-// the coordinator backend — a worker forwarding its cells back out would
-// loop.
+// worker endpoint internal/exec.Fleet dispatches to. The cell runs on this
+// server's scheduler through exec.SubmitCell, the one cell path exec.Local
+// also takes: the same content address, the persistent store behind the
+// scheduler cache, repeats answered from cache and identical cells
+// coalesced in flight. This handler only decodes, validates and maps the
+// outcome onto the error envelope. Cells always run on this worker's own
+// pool, never through the coordinator backend — a worker forwarding its
+// cells back out would loop.
 func (s *server) handleCell(w http.ResponseWriter, r *http.Request) {
 	var c eval.Cell
 	dec := json.NewDecoder(r.Body)
@@ -594,33 +594,8 @@ func (s *server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, notFound(err))
 		return
 	}
-	label := fmt.Sprintf("cell %s/%s", c.Workload, c.Config.Name())
 	cfgName := c.Config.Name()
-	key := sched.Key("cell", c)
-	j, err := s.sched.Submit(label, key, func(ctx context.Context) (any, error) {
-		// The persistent store sits behind the scheduler cache: a stored
-		// result decodes without simulating (and still gets promoted into
-		// the LRU), a fresh one is written back for restarts and peers.
-		if s.store != nil {
-			if b, ok, _ := s.store.Get(key); ok {
-				var res eval.Result
-				if err := json.Unmarshal(b, &res); err == nil {
-					return res, nil
-				}
-			}
-		}
-		res, err := eval.RunCell(ctx, c, s.probe)
-		if err != nil {
-			return nil, err
-		}
-		if s.store != nil {
-			if b, err := json.Marshal(res); err == nil {
-				s.store.Put(key, b)
-			}
-		}
-		s.countRun(cfgName)
-		return res, nil
-	})
+	j, err := exec.SubmitCell(s.sched, c, s.store, s.probe, func() { s.countRun(cfgName) })
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -645,29 +620,6 @@ func (s *server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, &httpError{status: http.StatusInternalServerError, code: codeSimFailed,
 			err: fmt.Errorf("cell failed: %s", st.Error)})
 	}
-}
-
-// handleCellLookup serves one stored cell result by its content address
-// — the peer-fill endpoint store.Peer reads. The persistent store is
-// consulted first; without one (or on a store miss) the scheduler's
-// result cache answers, so even a store-less worker can peer-serve what
-// it recently computed. A 404 means "not here": the caller simulates.
-func (s *server) handleCellLookup(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if s.store != nil {
-		if b, ok, _ := s.store.Get(key); ok {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(b)
-			return
-		}
-	}
-	if v, ok := s.sched.Cache().Get(key); ok {
-		if res, ok := v.(eval.Result); ok {
-			writeJSON(w, http.StatusOK, res)
-			return
-		}
-	}
-	writeErr(w, r, notFound(fmt.Errorf("no stored result for key %q", key)))
 }
 
 // handleHealthz is the fleet liveness probe: 200 while the scheduler

@@ -44,10 +44,10 @@ type Params struct {
 	Probe *pipeline.Probe `json:"-"`
 	// Runner, when non-nil, dispatches matrix cells through an execution
 	// backend (see internal/exec: Local wraps a scheduler worker pool and
-	// result cache, Fleet shards cells across remote elfd workers)
-	// instead of the in-process pool. Like Probe it is invisible to JSON
-	// so cache keys derived from Params are unaffected. Runner-dispatched
-	// grids address workloads by name, so every entry must be registered.
+	// result cache, Fleet shards cells across remote elfd workers); nil
+	// measures each cell in this process. Like Probe it is invisible to
+	// JSON so cache keys derived from Params are unaffected. Grids address
+	// workloads by name, so every entry must be registered.
 	Runner CellRunner `json:"-"`
 }
 
@@ -153,17 +153,18 @@ func resultFrom(e *workload.Entry, cfg pipeline.Config, m *pipeline.Machine, st 
 	return r
 }
 
-// job identifies one matrix cell and its slot in the ordered output.
-type job struct {
-	idx   int
-	entry *workload.Entry
-	cell  Cell
+// inProcess is the runner a grid uses when Params.Runner is nil: it
+// measures each cell in this process, attaching probe after warmup.
+type inProcess struct{ probe *pipeline.Probe }
+
+func (r inProcess) Run(ctx context.Context, c Cell) (Result, error) {
+	return RunCell(ctx, c, r.probe)
 }
 
 // MatrixResults evaluates the cross product of workloads × configs and
 // returns an ordered result set (workloads outer, configs inner — the
-// order given). Cells run on the in-process pool (p.workers() wide), or
-// are dispatched through p.Runner when set.
+// order given). p.workers() goroutines dispatch the cells through
+// p.Runner, or measure them in this process when it is nil.
 //
 // Partial-results contract: a cell failure cancels the cells still
 // running, but every cell that already completed is returned alongside a
@@ -181,9 +182,19 @@ func MatrixResults(ctx context.Context, entries []*workload.Entry, cfgs []pipeli
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	n := len(entries) * len(cfgs)
+	runner := p.Runner
+	if runner == nil {
+		runner = inProcess{probe: p.Probe}
+	}
+	cells := make([]Cell, 0, len(entries)*len(cfgs))
+	for _, e := range entries {
+		for _, c := range cfgs {
+			cells = append(cells, Cell{Workload: e.Name, Config: c, Warmup: p.Warmup, Measure: p.Measure})
+		}
+	}
+	n := len(cells)
 	var (
-		jobs    = make(chan job)
+		jobs    = make(chan int) // cell indices
 		results = make([]Result, n)
 		cellErr = make([]error, n)
 		done    = make([]bool, n)
@@ -193,33 +204,20 @@ func MatrixResults(ctx context.Context, entries []*workload.Entry, cfgs []pipeli
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs { // keep draining after cancel so the feeder never blocks
-				var r Result
-				var err error
-				if p.Runner != nil {
-					r, err = p.Runner.Run(ctx, j.cell)
-				} else {
-					r, err = RunOne(ctx, j.entry, j.cell.Config, p)
-				}
+			for i := range jobs { // keep draining after cancel so the feeder never blocks
+				r, err := runner.Run(ctx, cells[i])
 				if err != nil {
-					cellErr[j.idx] = err
+					cellErr[i] = err
 					cancel()
 					continue
 				}
-				results[j.idx] = r
-				done[j.idx] = true
+				results[i] = r
+				done[i] = true
 			}
 		}()
 	}
-	idx := 0
-	cells := make([]Cell, 0, n)
-	for _, e := range entries {
-		for _, c := range cfgs {
-			cell := Cell{Workload: e.Name, Config: c, Warmup: p.Warmup, Measure: p.Measure}
-			cells = append(cells, cell)
-			jobs <- job{idx, e, cell}
-			idx++
-		}
+	for i := range cells {
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
@@ -243,19 +241,6 @@ func MatrixResults(ctx context.Context, entries []*workload.Entry, cfgs []pipeli
 		errs = append(errs, context.Canceled)
 	}
 	return out, errors.Join(errs...)
-}
-
-// Matrix evaluates the cross product of workloads × configs in parallel
-// and returns results indexed [workload][config name] — the map form of
-// MatrixResults, which see for the dispatch and partial-results contract.
-// On error the completed cells are still returned (nil only when nothing
-// completed), so cancelled grids no longer discard finished work.
-func Matrix(ctx context.Context, entries []*workload.Entry, cfgs []pipeline.Config, p Params) (map[string]map[string]Result, error) {
-	rs, err := MatrixResults(ctx, entries, cfgs, p)
-	if len(rs) == 0 && err != nil {
-		return nil, err
-	}
-	return rs.Map(), err
 }
 
 func figureEntries() ([]*workload.Entry, error) {
@@ -292,15 +277,6 @@ func Figure6Table(ctx context.Context, p Params) (*report.Table, Results, error)
 	return t, res, nil
 }
 
-// Figure6 renders Figure6Table as text.
-func Figure6(ctx context.Context, w io.Writer, p Params) (map[string]map[string]Result, error) {
-	t, res, err := Figure6Table(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return res.Map(), t.WriteText(w)
-}
-
 // Figure7Table builds "Performance improvement of L-ELF and different
 // variants of U-ELF with respect to DCF".
 func Figure7Table(ctx context.Context, p Params) (*report.Table, Results, error) {
@@ -335,15 +311,6 @@ func Figure7Table(ctx context.Context, p Params) (*report.Table, Results, error)
 	return t, res, nil
 }
 
-// Figure7 renders Figure7Table as text.
-func Figure7(ctx context.Context, w io.Writer, p Params) (map[string]map[string]Result, error) {
-	t, res, err := Figure7Table(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return res.Map(), t.WriteText(w)
-}
-
 // Figure8Table builds "Performance improvement of L-ELF and U-ELF, as well
 // as average number of instructions fetched during a run in coupled mode".
 func Figure8Table(ctx context.Context, p Params) (*report.Table, Results, error) {
@@ -368,15 +335,6 @@ func Figure8Table(ctx context.Context, p Params) (*report.Table, Results, error)
 			report.F1(lelf.AvgCoupled), report.F1(uelf.AvgCoupled))
 	}
 	return t, res, nil
-}
-
-// Figure8 renders Figure8Table as text.
-func Figure8(ctx context.Context, w io.Writer, p Params) (map[string]map[string]Result, error) {
-	t, res, err := Figure8Table(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return res.Map(), t.WriteText(w)
 }
 
 // Figure9Table builds "Speedup (geomean) of NoDCF, L-ELF, U-ELF relative to
@@ -415,15 +373,6 @@ func Figure9Table(ctx context.Context, p Params) (*report.Table, Results, error)
 	}
 	addRow("Geomean", workload.All())
 	return t, res, nil
-}
-
-// Figure9 renders Figure9Table as text.
-func Figure9(ctx context.Context, w io.Writer, p Params) (map[string]map[string]Result, error) {
-	t, res, err := Figure9Table(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return res.Map(), t.WriteText(w)
 }
 
 // FigureTable dispatches to the figure builders by number (6–9) — the

@@ -70,8 +70,8 @@ func TestRunOneCancelled(t *testing.T) {
 	}
 }
 
-// TestMatrixCancellation proves Matrix returns promptly when its context is
-// cancelled mid-matrix: a full-length matrix would take many seconds, but a
+// TestMatrixCancellation proves MatrixResults returns promptly when its
+// context is cancelled mid-matrix: a full-length matrix would take many seconds, but a
 // cancel a few milliseconds in must return within the poll latency.
 func TestMatrixCancellation(t *testing.T) {
 	entries, err := figureEntries()
@@ -94,7 +94,7 @@ func TestMatrixCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = Matrix(ctx, entries, cfgs, big)
+	_, err = MatrixResults(ctx, entries, cfgs, big)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -102,7 +102,7 @@ func TestMatrixCancellation(t *testing.T) {
 	// Generous bound: each worker aborts within one 2048-cycle poll, so
 	// anything near a full-matrix runtime means cancellation didn't happen.
 	if elapsed > 5*time.Second {
-		t.Fatalf("Matrix took %v after cancel; not prompt", elapsed)
+		t.Fatalf("MatrixResults took %v after cancel; not prompt", elapsed)
 	}
 }
 
@@ -110,9 +110,12 @@ func TestFigure6Harness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness run")
 	}
-	var buf bytes.Buffer
-	res, err := Figure6(context.Background(), &buf, tiny())
+	tbl, res, err := Figure6Table(context.Background(), tiny())
 	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tbl.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -121,8 +124,9 @@ func TestFigure6Harness(t *testing.T) {
 	}
 	// Every figure workload must have both configs measured.
 	for _, name := range workload.FigureSet() {
-		r := res[name]
-		if r == nil || r["DCF"].IPC <= 0 || r["NoDCF"].IPC <= 0 {
+		dcf, okD := res.Get(name, "DCF")
+		nodcf, okN := res.Get(name, "NoDCF")
+		if !okD || !okN || dcf.IPC <= 0 || nodcf.IPC <= 0 {
 			t.Errorf("%s: incomplete matrix cell", name)
 		}
 	}

@@ -155,15 +155,6 @@ func TestMatrixPartialResults(t *testing.T) {
 	if _, ok := rs.Get(e.Name, base.NoDCF().Name()); ok {
 		t.Fatal("failed cell present in results")
 	}
-
-	// The map wrapper keeps the same contract.
-	m, err := Matrix(context.Background(), []*workload.Entry{e}, cfgs, p)
-	if err == nil {
-		t.Fatal("Matrix must propagate the joined error")
-	}
-	if m[e.Name][base.Name()].IPC <= 0 {
-		t.Fatalf("Matrix discarded completed work: %+v", m)
-	}
 }
 
 // countingRunner proves matrix dispatch actually flows through

@@ -12,6 +12,13 @@
 //     on worker failure, and graceful degradation to a local fallback
 //     when the whole fleet is unreachable.
 //
+// This package is also the only owner of how one cell runs against the
+// scheduler cache and the persistent store: the cell key, the
+// store-behind-cache task (SubmitCell, which Local and elfd's
+// POST /v1/cells both submit to their scheduler) and the encoding of a
+// stored eval.Result (JSON; an undecodable value is a miss), which Fleet
+// also uses around its dispatch.
+//
 // The sim core is deterministic (enforced by elflint and the runtime
 // determinism tests), so a cell produces bit-identical Results no matter
 // which backend — or which machine — executes it. That equivalence is

@@ -397,14 +397,11 @@ func (f *Fleet) Run(ctx context.Context, c eval.Cell) (result eval.Result, runEr
 	cellName := c.Workload + "/" + c.Config.Name()
 	key := cellKey(c)
 	if f.cfg.Store != nil {
-		if b, ok, _ := f.cfg.Store.Get(key); ok {
-			var r eval.Result
-			if err := json.Unmarshal(b, &r); err == nil {
-				f.record(obs.Event{Kind: obs.EventCacheHit, Cell: cellName,
-					Trace: traceOf(obs.SpanFromContext(ctx))})
-				f.cells.Add(1)
-				return r, nil
-			}
+		if r, ok := loadResult(f.cfg.Store, key); ok {
+			f.record(obs.Event{Kind: obs.EventCacheHit, Cell: cellName,
+				Trace: traceOf(obs.SpanFromContext(ctx))})
+			f.cells.Add(1)
+			return r, nil
 		}
 	}
 	span := f.spans.StartSpan(obs.SpanFromContext(ctx), "cell")
@@ -456,9 +453,7 @@ func (f *Fleet) Run(ctx context.Context, c eval.Cell) (result eval.Result, runEr
 				f.cellSeconds.Observe(time.Since(start).Seconds())
 			}
 			if f.cfg.Store != nil {
-				if b, err := json.Marshal(r); err == nil {
-					_ = f.cfg.Store.Put(key, b)
-				}
+				saveResult(f.cfg.Store, key, r)
 			}
 			return r, nil
 		}

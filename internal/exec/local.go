@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -44,11 +43,12 @@ type LocalConfig struct {
 	Store store.Store
 }
 
-// Local is the in-process Backend: cells run on a sched worker pool and
-// identical cells coalesce in flight and are answered from the
-// content-addressed result cache afterwards. It is behaviourally
-// identical to the eval layer's built-in pool — same RunOne, same
-// determinism — plus the cache.
+// Local is the in-process Backend: cells run on a sched worker pool
+// through SubmitCell, so identical cells coalesce in flight and are
+// answered from the content-addressed result cache (and the store, when
+// one is attached) afterwards. It is behaviourally identical to the eval
+// layer's in-process runner — same RunCell, same determinism — plus the
+// cache.
 type Local struct {
 	sched    *sched.Scheduler
 	probe    *pipeline.Probe
@@ -78,42 +78,12 @@ func NewLocal(cfg LocalConfig) *Local {
 	}
 }
 
-// storeTask wraps a cell task with the persistent store: a stored result
-// decodes without simulating (the scheduler still promotes it into its
-// LRU), and a fresh simulation is written back for the next process.
-// Store failures degrade to plain simulation — the store never blocks
-// progress.
-func storeTask(st store.Store, key string, run func(context.Context) (eval.Result, error)) func(context.Context) (any, error) {
-	return func(ctx context.Context) (any, error) {
-		if b, ok, _ := st.Get(key); ok {
-			var r eval.Result
-			if err := json.Unmarshal(b, &r); err == nil {
-				return r, nil
-			}
-			// An undecodable value (format drift) is treated as a miss.
-		}
-		r, err := run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b, err := json.Marshal(r); err == nil {
-			_ = st.Put(key, b)
-		}
-		return r, nil
-	}
-}
-
 // record appends one flight-recorder event when a ring is configured.
 func (l *Local) record(e obs.Event) {
 	if l.events != nil {
 		l.events.Add(e)
 	}
 }
-
-// cellKey content-addresses a cell. elfd's POST /v1/cells keys its jobs
-// identically, so a worker's cache serves coordinator and direct traffic
-// alike.
-func cellKey(c eval.Cell) string { return sched.Key("cell", c) }
 
 // Run executes one cell on the pool, waiting for completion or ctx.
 func (l *Local) Run(ctx context.Context, c eval.Cell) (eval.Result, error) {
@@ -123,16 +93,7 @@ func (l *Local) Run(ctx context.Context, c eval.Cell) (eval.Result, error) {
 	cellName := c.Workload + "/" + c.Config.Name()
 	trace := traceOf(obs.SpanFromContext(ctx))
 	start := time.Now()
-	key := cellKey(c)
-	task := func(ctx context.Context) (any, error) {
-		return eval.RunCell(ctx, c, l.probe)
-	}
-	if l.store != nil {
-		task = storeTask(l.store, key, func(ctx context.Context) (eval.Result, error) {
-			return eval.RunCell(ctx, c, l.probe)
-		})
-	}
-	j, err := l.sched.Submit("cell "+cellName, key, task)
+	j, err := SubmitCell(l.sched, c, l.store, l.probe, nil)
 	if err != nil {
 		l.failed.Add(1)
 		l.record(obs.Event{Kind: obs.EventError, Worker: "local", Cell: cellName,

@@ -194,9 +194,6 @@ var servingLayerPackages = map[string]bool{
 	"internal/exec":   true,
 	"internal/report": true,
 	"internal/store":  true,
-	// perf is the bench-trajectory writer/comparator: host-dependent
-	// (wall-clock, hostnames) by design, so it must stay out of the core.
-	"internal/perf": true,
 }
 
 // CheckTiming is one check's cumulative wall-clock across every package

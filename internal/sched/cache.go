@@ -110,21 +110,6 @@ func (c *Cache) Len() int {
 	return c.order.Len()
 }
 
-// Remove drops key from the cache, reporting whether it was present.
-func (c *Cache) Remove(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return false
-	}
-	c.order.Remove(el)
-	e := el.Value.(*cacheEntry)
-	delete(c.entries, e.key)
-	c.bytes -= e.size
-	return true
-}
-
 // CacheStats is a point-in-time cache counter snapshot.
 type CacheStats struct {
 	Entries int `json:"entries"`

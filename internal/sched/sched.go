@@ -111,7 +111,9 @@ func (j *Job) Cancel() {
 	j.mu.Unlock()
 }
 
-// finish moves to a terminal state. Caller holds j.mu.
+// finish moves to a terminal state and releases the job's context, so a
+// finished job no longer hangs off the scheduler's base context. Caller
+// holds j.mu.
 func (j *Job) finish(s State, result any, err error) {
 	if j.state.Terminal() {
 		return
@@ -120,6 +122,7 @@ func (j *Job) finish(s State, result any, err error) {
 	j.result = result
 	j.err = err
 	j.finished = time.Now()
+	j.cancel()
 	close(j.done)
 }
 
@@ -296,9 +299,6 @@ func New(cfg Config) *Scheduler {
 	}
 	return s
 }
-
-// Cache exposes the result cache (for stats).
-func (s *Scheduler) Cache() *Cache { return s.cache }
 
 // Submit queues a task. key content-addresses the job ("" = uncacheable):
 // a completed key is answered from cache without running anything (the

@@ -64,6 +64,44 @@ func TestSubmitRunsAndCaches(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsReleaseContext pins that a job's context is released
+// once it finishes — both a job that ran and a job born Done from the
+// cache — so finished jobs do not stay registered on the scheduler's base
+// context until Shutdown, and that cancelling a finished job changes
+// nothing.
+func TestFinishedJobsReleaseContext(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+
+	key := Key("release")
+	task := func(ctx context.Context) (any, error) { return "v", nil }
+	ran, err := s.Submit("ran", key, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, ran)
+	hit, err := s.Submit("hit", key, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, hit); !st.Cached {
+		t.Fatalf("second submit not a cache hit: %+v", st)
+	}
+
+	for _, j := range []*Job{ran, hit} {
+		if j.ctx.Err() == nil {
+			t.Errorf("job %s: context still live after Done", j.ID())
+		}
+		j.Cancel()
+		if st := j.Status(); st.State != Done || st.Result != "v" {
+			t.Errorf("job %s: Cancel after Done changed it: %+v", j.ID(), st)
+		}
+	}
+	if st := s.Stats(); st.Canceled != 0 || st.Completed != 1 {
+		t.Errorf("stats after no-op cancels: %+v", st)
+	}
+}
+
 func TestInflightCoalescing(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())

@@ -2,30 +2,20 @@
 // durable, crash-safe, content-addressed result store. Every simulated
 // cell is expensive (a full cycle-level run) yet perfectly reusable —
 // results are content-addressed by their sched.Key — so the store keeps
-// completed results across processes and shares them across the fleet
-// instead of re-deriving them (DESIGN.md §15).
+// completed results across processes instead of re-deriving them
+// (DESIGN.md §15).
 //
-// Four implementations compose behind one interface:
+// Disk is the one implementation: append-only segment files with
+// length-prefixed, sha256-checksummed records and an in-memory index
+// rebuilt on open. Torn or truncated tails (a crash mid-append) are
+// tolerated and logged, segments rotate atomically at a size threshold,
+// and compaction drops superseded and over-quota entries.
 //
-//   - Mem: a bounded, byte-accounted LRU over raw result bytes — the
-//     in-process front tier.
-//   - Disk: append-only segment files with length-prefixed, sha256-
-//     checksummed records and an in-memory index rebuilt on open. Torn
-//     or truncated tails (a crash mid-append) are tolerated and logged,
-//     segments rotate atomically at a size threshold, and compaction
-//     drops superseded and over-quota entries.
-//   - Tiered: a front/back pair with read-through promotion (a back-tier
-//     hit is copied into the front) and in-flight singleflight, so
-//     concurrent misses on one key fill once.
-//   - Peer: an HTTP read-through tier over another process's
-//     GET /v1/cells/{key} endpoint, so fleet workers can peer-fill from
-//     their coordinator before simulating.
-//
-// The production arrangement keeps today's scheduler LRU (decoded
-// values, in-flight coalescing) as the hot memory front and consults the
-// store — typically Disk, optionally Tiered(Disk, Peer) — only when it
-// misses; a store hit skips the simulation entirely and the decoded
-// result is promoted back into the scheduler cache.
+// The store sits behind the scheduler's LRU (decoded values, in-flight
+// coalescing), which stays the hot memory front: internal/exec consults
+// the store only when that cache misses, a store hit skips the simulation
+// entirely, and the decoded result is promoted back into the scheduler
+// cache.
 //
 // Layering: this package may import internal/obs and nothing else
 // module-internal (enforced by elflint's layering check); values are
@@ -47,7 +37,7 @@ type Store interface {
 	Get(key string) ([]byte, bool, error)
 	// Put stores value under key, superseding any previous value.
 	Put(key string, value []byte) error
-	// Stats snapshots per-tier counters, front tier first.
+	// Stats snapshots per-tier counters.
 	Stats() []TierStats
 	// Compact reclaims space: superseded records are dropped and, when a
 	// quota is configured, the oldest live entries are evicted until the
@@ -59,7 +49,7 @@ type Store interface {
 
 // TierStats is one tier's point-in-time counter snapshot.
 type TierStats struct {
-	// Tier is "mem", "disk" or "peer".
+	// Tier names the tier ("disk").
 	Tier string `json:"tier"`
 	// Hits and Misses count Get outcomes.
 	Hits   uint64 `json:"hits"`
@@ -67,21 +57,19 @@ type TierStats struct {
 	// Puts counts fills (values written). On a warm restart a grid that
 	// re-simulates nothing performs zero Puts.
 	Puts uint64 `json:"puts"`
-	// Entries and Bytes size the live set (bytes are record bytes for
-	// disk, value+key bytes for mem).
+	// Entries and Bytes size the live set (Bytes counts record bytes).
 	Entries int   `json:"entries"`
 	Bytes   int64 `json:"bytes"`
-	// Compactions counts completed compaction passes (disk only).
+	// Compactions counts completed compaction passes.
 	Compactions uint64 `json:"compactions"`
-	// Segments counts live segment files (disk only).
+	// Segments counts live segment files.
 	Segments int `json:"segments,omitempty"`
-	// Errors counts failed Gets/Puts (I/O trouble, bad checksums,
-	// unreachable peers).
+	// Errors counts failed Gets/Puts (I/O trouble, bad checksums).
 	Errors uint64 `json:"errors,omitempty"`
 }
 
-// tierMetrics registers the elf_store_* families for one tier and is
-// shared by every implementation. reg may be nil (no-op wiring).
+// tierMetrics registers the elf_store_* families for one tier. reg may be
+// nil (no-op wiring).
 type tierMetrics struct {
 	hits        *obs.Counter
 	misses      *obs.Counter

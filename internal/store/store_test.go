@@ -3,13 +3,10 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"elfetch/internal/obs"
@@ -44,64 +41,6 @@ func wantMiss(t *testing.T, s Store, key string) {
 	}
 	if ok {
 		t.Fatalf("Get(%q): hit, want miss", key)
-	}
-}
-
-func TestMemRoundTripAndEviction(t *testing.T) {
-	m := NewMem(MemConfig{MaxEntries: 3})
-	defer m.Close()
-	mustPut(t, m, "a", []byte("1"))
-	mustPut(t, m, "b", []byte("2"))
-	mustPut(t, m, "c", []byte("3"))
-	wantGet(t, m, "a", []byte("1")) // touch a: now b is LRU
-	mustPut(t, m, "d", []byte("4"))
-	wantMiss(t, m, "b")
-	wantGet(t, m, "a", []byte("1"))
-	wantGet(t, m, "d", []byte("4"))
-	st := m.Stats()[0]
-	if st.Tier != "mem" || st.Entries != 3 {
-		t.Fatalf("stats = %+v, want tier=mem entries=3", st)
-	}
-}
-
-func TestMemByteBound(t *testing.T) {
-	// Each entry is 1-byte key + 8-byte value = 9 bytes; cap at two
-	// entries' worth.
-	m := NewMem(MemConfig{MaxEntries: 100, MaxBytes: 18})
-	defer m.Close()
-	mustPut(t, m, "a", []byte("12345678"))
-	mustPut(t, m, "b", []byte("12345678"))
-	mustPut(t, m, "c", []byte("12345678"))
-	wantMiss(t, m, "a")
-	wantGet(t, m, "b", []byte("12345678"))
-	wantGet(t, m, "c", []byte("12345678"))
-	if st := m.Stats()[0]; st.Bytes != 18 {
-		t.Fatalf("bytes = %d, want 18", st.Bytes)
-	}
-}
-
-func TestMemReturnsCopies(t *testing.T) {
-	m := NewMem(MemConfig{})
-	defer m.Close()
-	v := []byte("hello")
-	mustPut(t, m, "k", v)
-	v[0] = 'X' // caller's buffer must not alias the stored copy
-	got, _, _ := m.Get("k")
-	if string(got) != "hello" {
-		t.Fatalf("stored value aliased caller buffer: %q", got)
-	}
-	got[0] = 'Y'
-	wantGet(t, m, "k", []byte("hello"))
-}
-
-func TestMemClosed(t *testing.T) {
-	m := NewMem(MemConfig{})
-	m.Close()
-	if err := m.Put("k", nil); err == nil {
-		t.Fatal("Put on closed Mem: want error")
-	}
-	if _, _, err := m.Get("k"); err == nil {
-		t.Fatal("Get on closed Mem: want error")
 	}
 }
 
@@ -393,175 +332,4 @@ func TestDiskMetricsAndEvents(t *testing.T) {
 			t.Errorf("flight recorder missing %s event (got %v)", want, kinds)
 		}
 	}
-}
-
-func TestTieredPromotion(t *testing.T) {
-	front := NewMem(MemConfig{})
-	back := openDisk(t, t.TempDir(), DiskConfig{})
-	ti := NewTiered(front, back)
-	defer ti.Close()
-
-	// Fill the back tier directly; a tiered read promotes to the front.
-	mustPut(t, back, "k", []byte("v"))
-	wantGet(t, ti, "k", []byte("v"))
-	wantGet(t, front, "k", []byte("v"))
-	// The second read is a front hit: back's hit count stays at 1.
-	wantGet(t, ti, "k", []byte("v"))
-	if st := back.Stats()[0]; st.Hits != 1 {
-		t.Fatalf("back hits = %d, want 1 (promotion should absorb repeats)", st.Hits)
-	}
-
-	sts := ti.Stats()
-	if len(sts) != 2 || sts[0].Tier != "mem" || sts[1].Tier != "disk" {
-		t.Fatalf("Stats tiers = %+v, want [mem disk]", sts)
-	}
-}
-
-func TestTieredPutWritesBoth(t *testing.T) {
-	front := NewMem(MemConfig{})
-	back := openDisk(t, t.TempDir(), DiskConfig{})
-	ti := NewTiered(front, back)
-	defer ti.Close()
-	mustPut(t, ti, "k", []byte("v"))
-	wantGet(t, front, "k", []byte("v"))
-	wantGet(t, back, "k", []byte("v"))
-}
-
-func TestTieredDoSingleflight(t *testing.T) {
-	front := NewMem(MemConfig{})
-	back := openDisk(t, t.TempDir(), DiskConfig{})
-	ti := NewTiered(front, back)
-	defer ti.Close()
-
-	var fills atomic.Int64
-	gate := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := ti.Do("k", func() ([]byte, error) {
-				fills.Add(1)
-				<-gate // hold every concurrent caller on one in-progress fill
-				return []byte("filled"), nil
-			})
-			if err != nil || string(v) != "filled" {
-				t.Errorf("Do = %q, %v", v, err)
-			}
-		}()
-	}
-	close(gate)
-	wg.Wait()
-	if n := fills.Load(); n != 1 {
-		t.Fatalf("fill ran %d times, want 1", n)
-	}
-	// After the flight lands, Do serves from the store.
-	v, err := ti.Do("k", func() ([]byte, error) {
-		t.Error("fill ran on a warm key")
-		return nil, nil
-	})
-	if err != nil || string(v) != "filled" {
-		t.Fatalf("warm Do = %q, %v", v, err)
-	}
-}
-
-func TestTieredDoFillError(t *testing.T) {
-	ti := NewTiered(NewMem(MemConfig{}), NewMem(MemConfig{}))
-	defer ti.Close()
-	wantErr := fmt.Errorf("boom")
-	if _, err := ti.Do("k", func() ([]byte, error) { return nil, wantErr }); err != wantErr {
-		t.Fatalf("Do err = %v, want %v", err, wantErr)
-	}
-	// The failure was not cached: the next Do retries the fill.
-	v, err := ti.Do("k", func() ([]byte, error) { return []byte("ok"), nil })
-	if err != nil || string(v) != "ok" {
-		t.Fatalf("retry Do = %q, %v", v, err)
-	}
-}
-
-func TestPeer(t *testing.T) {
-	vals := map[string][]byte{"hit": []byte("payload")}
-	var reqs atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reqs.Add(1)
-		key := strings.TrimPrefix(r.URL.Path, "/v1/cells/")
-		v, ok := vals[key]
-		if !ok {
-			http.NotFound(w, r)
-			return
-		}
-		w.Write(v)
-	}))
-	defer srv.Close()
-
-	p, err := NewPeer(PeerConfig{Base: srv.URL})
-	if err != nil {
-		t.Fatalf("NewPeer: %v", err)
-	}
-	wantGet(t, p, "hit", []byte("payload"))
-	wantMiss(t, p, "absent")
-	if err := p.Put("x", []byte("ignored")); err != nil { // no-op
-		t.Fatalf("Put: %v", err)
-	}
-	if st := p.Stats()[0]; st.Tier != "peer" || st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v, want peer hits=1 misses=1", st)
-	}
-	p.Close()
-	if _, _, err := p.Get("hit"); err == nil {
-		t.Fatal("Get on closed Peer: want error")
-	}
-
-	if _, err := NewPeer(PeerConfig{Base: "not a url"}); err == nil {
-		t.Fatal("NewPeer with relative base: want error")
-	}
-}
-
-func TestPeerServerError(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-	p, err := NewPeer(PeerConfig{Base: srv.URL})
-	if err != nil {
-		t.Fatalf("NewPeer: %v", err)
-	}
-	defer p.Close()
-	_, ok, err := p.Get("k")
-	if ok || err == nil {
-		t.Fatalf("Get against 500 = ok=%v err=%v, want miss with error", ok, err)
-	}
-	if st := p.Stats()[0]; st.Errors != 1 {
-		t.Fatalf("errors = %d, want 1", st.Errors)
-	}
-}
-
-func TestTieredBehindPeer(t *testing.T) {
-	// The worker arrangement: Tiered(disk, peer). A peer hit lands in
-	// the local disk, so the next process start (or peer outage) still
-	// has the value.
-	coord := map[string][]byte{"remote": []byte("from-coordinator")}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		key := strings.TrimPrefix(r.URL.Path, "/v1/cells/")
-		if v, ok := coord[key]; ok {
-			w.Write(v)
-			return
-		}
-		http.NotFound(w, r)
-	}))
-	defer srv.Close()
-
-	dir := t.TempDir()
-	disk := openDisk(t, dir, DiskConfig{})
-	peer, err := NewPeer(PeerConfig{Base: srv.URL})
-	if err != nil {
-		t.Fatalf("NewPeer: %v", err)
-	}
-	ti := NewTiered(disk, peer)
-	wantGet(t, ti, "remote", []byte("from-coordinator"))
-	ti.Close()
-	srv.Close() // coordinator gone
-
-	disk2 := openDisk(t, dir, DiskConfig{})
-	defer disk2.Close()
-	wantGet(t, disk2, "remote", []byte("from-coordinator"))
 }

@@ -34,13 +34,15 @@ go test -count=1 -run 'TestFleetMetricsGolden|TestHistogramExpositionUnderConcur
 go test -race -count=1 -run TestFleetObservabilityE2E ./cmd/elfd/
 # Persistent-store gates (DESIGN.md §15): the warm-restart end-to-end
 # (a Figure 6 grid rerun against the same store dir re-simulates nothing
-# and is byte-identical) and the crash-safety contract (a torn final
-# record is tolerated on open), race-checked.
+# and is byte-identical), the one cell path (exec.Local, POST /v1/cells and
+# exec.Fleet agree and store byte-identical values under one key) and the
+# crash-safety contract (a torn final record is tolerated on open),
+# race-checked.
 go test -race -count=1 -run TestWarmRestartE2E ./internal/exec/
+go test -race -count=1 -run TestOneCellPath ./cmd/elfd/
 go test -race -count=1 -run 'TestDiskTruncatedTailTolerated|TestDiskCorruptTailChecksum' ./internal/store/
 # Concurrency-hygiene gates (DESIGN.md §16): fleet Close must stop its
-# health-prober goroutines, and the fleet/peer HTTP paths must drain
+# health-prober goroutines, and the fleet dispatch path must drain
 # response bodies so keep-alive connections are actually reused.
 go test -race -count=1 -run 'TestFleetCloseStopsGoroutines|TestFleetPostReusesConnections' ./internal/exec/
-go test -race -count=1 -run TestPeerGetReusesConnections ./internal/store/
 echo "verify: OK"
