@@ -50,7 +50,9 @@ type FleetConfig struct {
 	// Spans, when non-nil, collects the fleet's dispatch spans (one cell
 	// span per Run, one child span per dispatch attempt). When nil the
 	// fleet allocates a private log, so trace identity always flows to
-	// workers even if nobody collects the spans locally.
+	// workers even if nobody collects the spans locally. Either way the
+	// log is a fixed ring: once full, each finished span overwrites the
+	// oldest in O(1).
 	Spans *obs.SpanLog
 	// Events, when non-nil, receives flight-recorder events (dispatch,
 	// retry, quarantine, revive, fallback, slow-cell).
@@ -395,8 +397,9 @@ func (f *Fleet) Run(ctx context.Context, c eval.Cell) (result eval.Result, runEr
 	}
 
 	cellName := c.Workload + "/" + c.Config.Name()
-	key := cellKey(c)
+	var key string // the store's cell key; hashing costs µs, so only with a store
 	if f.cfg.Store != nil {
+		key = cellKey(c)
 		if r, ok := loadResult(f.cfg.Store, key); ok {
 			f.record(obs.Event{Kind: obs.EventCacheHit, Cell: cellName,
 				Trace: traceOf(obs.SpanFromContext(ctx))})

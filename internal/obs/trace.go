@@ -150,12 +150,14 @@ func ParseTraceparent(v string) (TraceID, SpanID, bool) {
 }
 
 // SpanLog collects finished spans and allocates span identity. It is
-// bounded: once max spans are held, the oldest are dropped (Dropped
-// counts them), so a long-lived coordinator cannot grow without limit.
+// bounded: once max spans are held, each new span overwrites the oldest
+// slot of a fixed ring (Dropped counts the evictions), so a long-lived
+// coordinator cannot grow without limit and eviction costs O(1).
 type SpanLog struct {
 	mu      sync.Mutex
 	max     int
-	spans   []Span
+	spans   []Span // grows to max, then is a ring
+	oldest  int    // ring index of the oldest span once len(spans) == max
 	dropped uint64
 
 	seed   uint64
@@ -203,24 +205,31 @@ func (l *SpanLog) StartSpan(parent *Span, name string) *Span {
 	return s
 }
 
-// add appends one finished span, evicting the oldest beyond the bound.
+// add records one finished span; beyond the bound it overwrites the
+// oldest.
 func (l *SpanLog) add(s Span) {
 	s.log = nil
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.spans) >= l.max {
-		n := copy(l.spans, l.spans[1:])
-		l.spans = l.spans[:n]
-		l.dropped++
+	if len(l.spans) < l.max {
+		l.spans = append(l.spans, s)
+		return
 	}
-	l.spans = append(l.spans, s)
+	l.spans[l.oldest] = s
+	l.oldest = (l.oldest + 1) % l.max
+	l.dropped++
 }
 
 // Snapshot copies the finished spans in finish order.
 func (l *SpanLog) Snapshot() []Span {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]Span(nil), l.spans...)
+	if len(l.spans) == 0 {
+		return nil
+	}
+	out := make([]Span, 0, len(l.spans))
+	out = append(out, l.spans[l.oldest:]...)
+	return append(out, l.spans[:l.oldest]...)
 }
 
 // Dropped counts spans evicted by the size bound.
@@ -234,6 +243,7 @@ func (l *SpanLog) Dropped() uint64 {
 func (l *SpanLog) Reset() {
 	l.mu.Lock()
 	l.spans = nil
+	l.oldest = 0
 	l.mu.Unlock()
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -92,20 +93,68 @@ func TestSpanFinishRecordsOnce(t *testing.T) {
 	}
 }
 
+// finishNamed finishes n spans named prefix0, prefix1, ... in order.
+func finishNamed(l *SpanLog, prefix string, n int) {
+	for i := 0; i < n; i++ {
+		l.StartSpan(nil, fmt.Sprintf("%s%d", prefix, i)).Finish()
+	}
+}
+
+// wantNames checks that spans are exactly prefix{from}..prefix{to-1}.
+func wantNames(t *testing.T, spans []Span, prefix string, from, to int) {
+	t.Helper()
+	if len(spans) != to-from {
+		t.Fatalf("retained %d spans, want %d", len(spans), to-from)
+	}
+	for i, s := range spans {
+		if want := fmt.Sprintf("%s%d", prefix, from+i); s.Name != want {
+			t.Fatalf("span %d = %q, want %q (finish order)", i, s.Name, want)
+		}
+	}
+}
+
 func TestSpanLogBound(t *testing.T) {
-	l := NewSpanLog(3)
-	for i := 0; i < 5; i++ {
-		l.StartSpan(nil, "op").Finish()
+	const size = 4
+	l := NewSpanLog(size)
+	finishNamed(l, "a", 3)
+	wantNames(t, l.Snapshot(), "a", 0, 3) // not yet full
+
+	l.Reset()
+	finishNamed(l, "op", 5*size/2) // 2.5x the bound: the ring wraps
+	wantNames(t, l.Snapshot(), "op", 5*size/2-size, 5*size/2)
+	if d := l.Dropped(); d != 5*size/2-size {
+		t.Errorf("dropped = %d, want %d", d, 5*size/2-size)
 	}
-	if got := l.Snapshot(); len(got) != 3 {
-		t.Errorf("retained %d spans, want 3", len(got))
-	}
-	if d := l.Dropped(); d != 2 {
-		t.Errorf("dropped = %d, want 2", d)
-	}
+
 	l.Reset()
 	if got := l.Snapshot(); len(got) != 0 {
 		t.Errorf("snapshot after reset = %d spans", len(got))
+	}
+	finishNamed(l, "b", size+1) // refill past the bound after a reset
+	wantNames(t, l.Snapshot(), "b", 1, size+1)
+	if d := l.Dropped(); d != 5*size/2-size+1 {
+		t.Errorf("dropped after refill = %d, want %d", d, 5*size/2-size+1)
+	}
+}
+
+// BenchmarkSpanLogAddFull times recording into a full log: eviction is a
+// ring overwrite, so ns/op is flat across sizes and add allocates nothing.
+func BenchmarkSpanLogAddFull(b *testing.B) {
+	for _, size := range []int{64, DefaultSpanLogSize, 1 << 16} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			l := NewSpanLog(size)
+			s := l.StartSpan(nil, "cell")
+			s.SetAttr("cell", "w/c")
+			s.End = time.Now()
+			for i := 0; i < size; i++ {
+				l.add(*s)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.add(*s)
+			}
+		})
 	}
 }
 

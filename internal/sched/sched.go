@@ -241,6 +241,11 @@ func newMetrics(reg *obs.Registry, s *Scheduler) *metrics {
 	return m
 }
 
+// retainFinished is how many finished jobs stay reachable through Get.
+// Older finished jobs are forgotten so a long-lived server's job table
+// stays bounded; queued and running jobs are never forgotten.
+const retainFinished = 4096
+
 // Scheduler runs submitted jobs on a bounded worker pool.
 type Scheduler struct {
 	cfg   Config
@@ -255,8 +260,10 @@ type Scheduler struct {
 	wg     sync.WaitGroup
 
 	mu       sync.Mutex
-	jobs     map[string]*Job // every job ever submitted, by id
+	jobs     map[string]*Job // live jobs and the last retainFinished finished ones, by id
 	inflight map[string]*Job // queued/running cacheable jobs, by key
+	finished []string        // ring of finished job ids; see retainLocked
+	oldest   int             // ring index of the oldest id once finished is full
 	seq      uint64
 	closed   bool
 
@@ -320,6 +327,7 @@ func (s *Scheduler) Submit(label, key string, task Task) (*Job, error) {
 			j.mu.Lock()
 			j.finish(Done, v, nil)
 			j.mu.Unlock()
+			s.retainLocked(j.id)
 			return j, nil
 		}
 		if s.met != nil {
@@ -372,7 +380,21 @@ func (s *Scheduler) newJobLocked(label, key string) *Job {
 	return j
 }
 
-// Get returns a submitted job by id.
+// retainLocked records a finished job, forgetting the oldest finished job
+// once retainFinished are held. Each job finishes, and is recorded, once.
+// Caller holds s.mu.
+func (s *Scheduler) retainLocked(id string) {
+	if len(s.finished) < retainFinished {
+		s.finished = append(s.finished, id)
+		return
+	}
+	delete(s.jobs, s.finished[s.oldest])
+	s.finished[s.oldest] = id
+	s.oldest = (s.oldest + 1) % retainFinished
+}
+
+// Get returns a job by id: any queued or running job, or one of the last
+// retainFinished finished jobs.
 func (s *Scheduler) Get(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -474,13 +496,15 @@ func (s *Scheduler) run(j *Job) {
 	s.retire(j, state, elapsed, true)
 }
 
-// retire updates scheduler counters and the in-flight index.
+// retire updates scheduler counters, the in-flight index and the
+// finished-job window.
 func (s *Scheduler) retire(j *Job, state State, seconds float64, ran bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j.key != "" && s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
 	}
+	s.retainLocked(j.id)
 	if ran {
 		s.running--
 		if s.met != nil {

@@ -102,6 +102,164 @@ func TestFinishedJobsReleaseContext(t *testing.T) {
 	}
 }
 
+// cacheHits submits n submissions of an already-cached key (each is born
+// Done) and returns their job ids in submission order.
+func cacheHits(t *testing.T, s *Scheduler, key string, n int) []string {
+	t.Helper()
+	ids := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		j, err := s.Submit("hit", key, func(ctx context.Context) (any, error) {
+			t.Error("cache hit ran its task")
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := j.Status(); !st.Cached || st.State != Done {
+			t.Fatalf("submit %d not a cache hit: %+v", i, st)
+		}
+		ids = append(ids, j.ID())
+	}
+	return ids
+}
+
+// primed returns a one-worker scheduler whose cache holds key, and the id
+// of the job that filled it.
+func primed(t *testing.T, key string) (*Scheduler, string) {
+	t.Helper()
+	s := New(Config{Workers: 1, QueueDepth: 8})
+	j, err := s.Submit("prime", key, func(ctx context.Context) (any, error) { return "v", nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, j)
+	waitRetired(t, s, func(st Stats) bool { return st.Completed == 1 })
+	return s, j.ID()
+}
+
+// waitRetired polls until the scheduler's counters satisfy ok: Wait
+// returns when a job finishes, a moment before run retires it.
+func waitRetired(t *testing.T, s *Scheduler, ok func(Stats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !ok(s.Stats()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("jobs never retired: %+v", s.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// jobCount is the size of the job table.
+func jobCount(s *Scheduler) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.jobs)
+}
+
+// TestFinishedJobsRetiredBeyondWindow pins the finished-job window: Get
+// finds the last retainFinished finished jobs and forgets older ones,
+// while queued and running jobs stay reachable however many jobs finish
+// around them, so the job table never exceeds the window plus live jobs.
+func TestFinishedJobsRetiredBeyondWindow(t *testing.T) {
+	const extra = 5
+	key := Key("window")
+
+	t.Run("cache hits", func(t *testing.T) {
+		s, prime := primed(t, key)
+		defer s.Shutdown(context.Background())
+		ids := append([]string{prime}, cacheHits(t, s, key, retainFinished+extra-1)...)
+		for i, id := range ids {
+			_, ok := s.Get(id)
+			if want := i >= extra; ok != want {
+				t.Fatalf("Get(%s) (finished #%d of %d) found=%v, want %v", id, i+1, len(ids), ok, want)
+			}
+		}
+		if n := jobCount(s); n != retainFinished {
+			t.Errorf("job table holds %d, want %d", n, retainFinished)
+		}
+	})
+
+	t.Run("queued and running survive", func(t *testing.T) {
+		s, _ := primed(t, key)
+		defer s.Shutdown(context.Background())
+		block := make(chan struct{})
+		started := make(chan struct{})
+		running, err := s.Submit("running", "", func(ctx context.Context) (any, error) {
+			close(started)
+			<-block
+			return "r", nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		queued, err := s.Submit("queued", "", func(ctx context.Context) (any, error) { return "q", nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		cacheHits(t, s, key, retainFinished+extra)
+		for _, j := range []*Job{running, queued} {
+			if got, ok := s.Get(j.ID()); !ok || got != j {
+				t.Errorf("live job %s forgotten behind %d finished jobs", j.ID(), retainFinished+extra)
+			}
+		}
+		if n := jobCount(s); n != retainFinished+2 {
+			t.Errorf("job table holds %d, want %d finished + 2 live", n, retainFinished)
+		}
+		close(block)
+		waitRetired(t, s, func(st Stats) bool { return st.Completed == 3 })
+		for _, j := range []*Job{running, queued} {
+			if _, ok := s.Get(j.ID()); !ok {
+				t.Errorf("just-finished job %s forgotten", j.ID())
+			}
+		}
+		if n := jobCount(s); n != retainFinished {
+			t.Errorf("job table holds %d after the live jobs finished, want %d", n, retainFinished)
+		}
+	})
+
+	t.Run("cancelled while queued", func(t *testing.T) {
+		s, _ := primed(t, key)
+		defer s.Shutdown(context.Background())
+		block := make(chan struct{})
+		started := make(chan struct{})
+		if _, err := s.Submit("blocker", "", func(ctx context.Context) (any, error) {
+			close(started)
+			<-block
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		<-started
+		victim, err := s.Submit("victim", "", func(ctx context.Context) (any, error) { return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim.Cancel()
+		if st := waitDone(t, victim); st.State != Canceled {
+			t.Fatalf("victim state = %s, want canceled", st.State)
+		}
+		// Canceled but still in the queue: run has not retired it yet.
+		cacheHits(t, s, key, retainFinished+extra)
+		if _, ok := s.Get(victim.ID()); !ok {
+			t.Fatal("queued cancelled job forgotten before run retired it")
+		}
+		close(block)
+		waitRetired(t, s, func(st Stats) bool { return st.Canceled == 1 && st.Completed == 2 })
+		if _, ok := s.Get(victim.ID()); !ok {
+			t.Fatal("retired cancelled job forgotten inside the window")
+		}
+		cacheHits(t, s, key, retainFinished)
+		if _, ok := s.Get(victim.ID()); ok {
+			t.Error("cancelled job still found after the window passed it")
+		}
+		if n := jobCount(s); n != retainFinished {
+			t.Errorf("job table holds %d, want %d", n, retainFinished)
+		}
+	})
+}
+
 func TestInflightCoalescing(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())

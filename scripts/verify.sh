@@ -45,4 +45,9 @@ go test -race -count=1 -run 'TestDiskTruncatedTailTolerated|TestDiskCorruptTailC
 # health-prober goroutines, and the fleet dispatch path must drain
 # response bodies so keep-alive connections are actually reused.
 go test -race -count=1 -run 'TestFleetCloseStopsGoroutines|TestFleetPostReusesConnections' ./internal/exec/
+# Bounded-retention gates: the span log's ring keeps the last spans in
+# finish order and stays race-free under concurrent writers, and the
+# scheduler forgets finished jobs beyond its window but never a live one.
+go test -race -count=1 -run 'TestSpanLogBound|TestSpanLogConcurrent' ./internal/obs/
+go test -race -count=1 -run 'TestFinishedJobsRetiredBeyondWindow|TestFinishedJobsReleaseContext' ./internal/sched/
 echo "verify: OK"
