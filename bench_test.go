@@ -288,7 +288,7 @@ func BenchmarkAblationCondConfidence(b *testing.B) {
 }
 
 // BenchmarkSweepFrontDepth reports U-ELF's relative gain at front depths 2
-// and 5 — the miniature of the loose-loops sweep (`elfbench -sweep-depth`).
+// and 5 — the miniature of the loose-loops sweep (`elfbench -exp sweep-depth`).
 func BenchmarkSweepFrontDepth(b *testing.B) {
 	b.ReportAllocs()
 	for _, depth := range []int{2, 5} {

@@ -1,19 +1,25 @@
-// Command elfbench regenerates the paper's evaluation: each figure's data
-// series and both tables, over the synthetic workload registry.
+// Command elfbench regenerates the paper's evaluation over the synthetic
+// workload registry: every figure, table, sweep and ablation registered in
+// internal/eval, plus Tables I and II.
 //
 // Usage:
 //
-//	elfbench -fig 8                 # one figure (6, 7, 8 or 9)
-//	elfbench -all                   # everything
-//	elfbench -list                  # Table I (workloads)
-//	elfbench -config                # Table II (machine configuration)
-//	elfbench -warmup 200000 -insts 800000 -fig 9
-//	elfbench -backend fleet -fleet http://w1:8080,http://w2:8080 -fig 6
+//	elfbench -exp figure-8                # one experiment
+//	elfbench -exp ablate,sweep-faq        # several, in the order given
+//	elfbench -exp all                     # every registered experiment
+//	elfbench -list                        # Table I (workloads)
+//	elfbench -config                      # Table II (machine configuration)
+//	elfbench -warmup 200000 -insts 800000 -exp figure-9 -format csv
+//	elfbench -backend fleet -fleet http://w1:8080,http://w2:8080 -exp figure-6
 //
-// With -backend fleet, matrix cells are sharded across the elfd workers
-// listed in -fleet (each serving POST /v1/cells); the sim core's
-// determinism makes the output byte-identical to local execution, and a
-// dead fleet degrades to local so the run still completes.
+// The experiments are figure-6 … figure-9, btb (Section VI-A BTB hit
+// rates), ablate (the design-choice ablations), sweep-faq (FAQ depth) and
+// sweep-depth (BP1→FE depth, the loose-loops experiment). Each one's
+// cells go through the selected backend: with -backend fleet they are
+// sharded across the elfd workers listed in -fleet (each serving
+// POST /v1/cells); the sim core's determinism makes the output
+// byte-identical to local execution, and a dead fleet degrades to local so
+// the run still completes.
 //
 // Observability (DESIGN.md §14): -metrics-out dumps the run's metric
 // registry in Prometheus text format, -spans-out writes the distributed
@@ -22,7 +28,7 @@
 // dumped to stderr when a run fails or is interrupted.
 //
 // -store-dir DIR keeps every cell result in a persistent store
-// (DESIGN.md §15): rerunning a figure against the same directory answers
+// (DESIGN.md §15): rerunning an experiment against the same directory answers
 // all of it from disk — a warm restart — and text mode prints the
 // per-tier store ledger after the run.
 //
@@ -150,16 +156,11 @@ func writeMetricsFile(path string, reg *obs.Registry) error {
 }
 
 func main() {
-	fig := flag.Int("fig", 0, "figure to regenerate (6, 7, 8, 9)")
-	all := flag.Bool("all", false, "regenerate every figure and table")
+	exps := flag.String("exp", "", "experiments to run, comma-separated, or all: "+strings.Join(eval.ExperimentNames(), ", "))
 	list := flag.Bool("list", false, "print Table I (workload registry)")
 	config := flag.Bool("config", false, "print Table II (machine configuration)")
-	btbTab := flag.Bool("btb", false, "print per-workload BTB hit rates (Section VI-A)")
 	hist := flag.String("hist", "", "print the coupled-period histogram for WORKLOAD:VARIANT (e.g. 641.leela_s:uelf)")
-	sweep := flag.Bool("sweep-depth", false, "sweep the BP1→FE depth and report ELF's gain at each (loose-loops experiment)")
-	ablate := flag.Bool("ablate", false, "run the design-choice ablations (DESIGN.md §6)")
-	sweepFAQ := flag.Bool("sweep-faq", false, "sweep FAQ depth on the server workload (decoupling-depth experiment)")
-	format := flag.String("format", "text", "output format for -fig/-ablate: text|csv|json")
+	format := flag.String("format", "text", "output format for -exp: text|csv|json")
 	warmup := flag.Uint64("warmup", 200_000, "warmup instructions per run")
 	insts := flag.Uint64("insts", 800_000, "measured instructions per run")
 	par := flag.Int("parallel", 0, "parallel runs (0 = GOMAXPROCS)")
@@ -289,6 +290,19 @@ func main() {
 	if err != nil {
 		usage(err)
 	}
+	var names []string
+	for _, n := range strings.Split(*exps, ",") {
+		switch n = strings.TrimSpace(n); n {
+		case "":
+		case "all":
+			names = append(names, eval.ExperimentNames()...)
+		default:
+			if _, err := eval.LookupExperiment(n); err != nil {
+				usage(err)
+			}
+			names = append(names, n)
+		}
+	}
 
 	// timed gates the trailing wall-clock chatter on text output, so CSV
 	// and JSON stay machine-parseable.
@@ -304,22 +318,15 @@ func main() {
 	}
 
 	ran := false
-	if *list || *all {
+	if *list {
 		if err := eval.Table1(os.Stdout); err != nil {
 			fatal(err)
 		}
 		fmt.Println()
 		ran = true
 	}
-	if *config || *all {
+	if *config {
 		if err := eval.Table2(os.Stdout); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-		ran = true
-	}
-	if *btbTab {
-		if err := eval.TableBTB(ctx, os.Stdout, p); err != nil {
 			fatal(err)
 		}
 		fmt.Println()
@@ -339,9 +346,9 @@ func main() {
 		}
 		ran = true
 	}
-	runFig := func(n int) {
+	for _, name := range names {
 		err := timed(func() error {
-			t, _, err := eval.FigureTable(ctx, n, p)
+			t, _, err := eval.RunExperiment(ctx, name, p)
 			if err != nil {
 				return err
 			}
@@ -351,41 +358,6 @@ func main() {
 			fatal(err)
 		}
 		ran = true
-	}
-	if *ablate {
-		err := timed(func() error {
-			t, err := eval.AblationTable(ctx, p)
-			if err != nil {
-				return err
-			}
-			return t.Write(os.Stdout, fmtOut)
-		})
-		if err != nil {
-			fatal(err)
-		}
-		ran = true
-	}
-	if *sweepFAQ {
-		if err := eval.SweepFAQ(ctx, os.Stdout, p, nil, ""); err != nil {
-			fatal(err)
-		}
-		ran = true
-	}
-	if *sweep {
-		if err := timed(func() error {
-			return eval.SweepFrontDepth(ctx, os.Stdout, p, nil, nil)
-		}); err != nil {
-			fatal(err)
-		}
-		ran = true
-	}
-	if *fig != 0 {
-		runFig(*fig)
-	}
-	if *all {
-		for _, n := range []int{6, 7, 8, 9} {
-			runFig(n)
-		}
 	}
 	if !ran {
 		flag.Usage()

@@ -52,17 +52,17 @@ func TestErrorEnvelope(t *testing.T) {
 			map[string]any{"workload": "641.leela_s", "variant": "nope"},
 			http.StatusBadRequest, "bad_request"},
 		{"submit bad figure", "POST", "/v1/jobs",
-			map[string]any{"kind": "figure", "figure": 5}, http.StatusBadRequest, "bad_request"},
+			map[string]any{"kind": "figure-5"}, http.StatusBadRequest, "bad_request"},
 		{"submit trace on figure", "POST", "/v1/jobs",
-			map[string]any{"kind": "figure", "figure": 6, "trace": true},
+			map[string]any{"kind": "figure-6", "trace": true},
 			http.StatusBadRequest, "bad_request"},
 		{"job status unknown id", "GET", "/v1/jobs/j999999", nil, http.StatusNotFound, "not_found"},
 		{"job trace unknown id", "GET", "/v1/jobs/j999999/trace", nil, http.StatusNotFound, "not_found"},
 		{"cancel unknown id", "DELETE", "/v1/jobs/j999999", nil, http.StatusNotFound, "not_found"},
-		{"figure not a number", "GET", "/v1/figures/abc", nil, http.StatusBadRequest, "bad_request"},
-		{"figure out of range", "GET", "/v1/figures/5", nil, http.StatusBadRequest, "bad_request"},
-		{"figure bad format", "GET", "/v1/figures/6?format=nope", nil, http.StatusBadRequest, "bad_request"},
-		{"figure bad warmup", "GET", "/v1/figures/6?warmup=x", nil, http.StatusBadRequest, "bad_request"},
+		{"figure not a number", "GET", "/v1/experiments/figure-abc", nil, http.StatusBadRequest, "bad_request"},
+		{"figure out of range", "GET", "/v1/experiments/figure-5", nil, http.StatusBadRequest, "bad_request"},
+		{"figure bad format", "GET", "/v1/experiments/figure-6?format=nope", nil, http.StatusBadRequest, "bad_request"},
+		{"figure bad warmup", "GET", "/v1/experiments/figure-6?warmup=x", nil, http.StatusBadRequest, "bad_request"},
 		{"cell bad json", "POST", "/v1/cells", "not json", http.StatusBadRequest, "bad_request"},
 		{"cell empty", "POST", "/v1/cells", map[string]any{}, http.StatusBadRequest, "bad_request"},
 		{"cell unknown field", "POST", "/v1/cells",

@@ -8,10 +8,12 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"elfetch/internal/eval"
 	"elfetch/internal/exec"
 	"elfetch/internal/report"
+	"elfetch/internal/sched"
 	"elfetch/internal/workload"
 )
 
@@ -28,9 +30,9 @@ func fleetWorker(t *testing.T) *httptest.Server {
 // figure6Text renders the Figure 6 grid through p as canonical text.
 func figure6Text(t *testing.T, p eval.Params) string {
 	t.Helper()
-	tab, res, err := eval.Figure6Table(context.Background(), p)
+	tab, res, err := eval.RunExperiment(context.Background(), "figure-6", p)
 	if err != nil {
-		t.Fatalf("Figure6Table: %v", err)
+		t.Fatalf("RunExperiment: %v", err)
 	}
 	want := 2 * len(workload.FigureSet())
 	if len(res) != want {
@@ -207,5 +209,45 @@ func TestFleetSurvivesWorkerDeathMidRun(t *testing.T) {
 	}
 	if st.Failed != 0 {
 		t.Errorf("cells failed despite requeue: %+v", st)
+	}
+}
+
+// countingBackend is an exec.Backend that counts the cells handed to it
+// and measures them in-process.
+type countingBackend struct{ cells atomic.Int64 }
+
+func (b *countingBackend) Run(ctx context.Context, c eval.Cell) (eval.Result, error) {
+	b.cells.Add(1)
+	return eval.RunCell(ctx, c, nil)
+}
+
+func (b *countingBackend) Stats() exec.Stats {
+	return exec.Stats{Backend: "counting", Cells: uint64(b.cells.Load())}
+}
+
+func (b *countingBackend) Close() error { return nil }
+
+// TestCoordinatorDispatchesExperimentCells pins that a coordinator sends
+// a sweep's cells through its backend like a figure's, rather than
+// simulating them itself.
+func TestCoordinatorDispatchesExperimentCells(t *testing.T) {
+	s := sched.New(sched.Config{Workers: 2, QueueDepth: 8})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	be := &countingBackend{}
+	srv := newServer(s, eval.Params{Warmup: 1_000, Measure: 4_000}, serverOptions{Backend: be})
+	rec, _ := doJSON(t, srv, "POST", "/v1/jobs?wait=1", map[string]any{"kind": "sweep-faq"})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("sweep-faq job: %d %s", rec.Code, rec.Body.String())
+	}
+	x, err := eval.LookupExperiment("sweep-faq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := be.cells.Load(); got != int64(len(x.Cells)) {
+		t.Fatalf("backend ran %d cells, want all %d", got, len(x.Cells))
 	}
 }

@@ -5,28 +5,32 @@
 //
 // Endpoints:
 //
-//	POST   /v1/jobs            submit a run/figure/sweep (?wait=1 blocks)
-//	GET    /v1/jobs/{id}       job status and result
-//	GET    /v1/jobs/{id}/trace Chrome trace JSON of a traced run
-//	DELETE /v1/jobs/{id}       cancel a job
-//	GET    /v1/workloads       the workload registry
-//	GET    /v1/figures/{6..9}  run or fetch a figure matrix (?format=...)
-//	POST   /v1/cells           run one evaluation cell (fleet worker endpoint)
-//	GET    /v1/healthz         liveness probe for fleet coordinators
-//	GET    /metrics            Prometheus text exposition (fleet view on a coordinator)
-//	GET    /debug/stats        scheduler/cache/throughput metrics
-//	GET    /debug/events       flight-recorder dump (?n= bounds it)
-//	GET    /debug/trace        span log (?format=json|chrome, &canonical=1)
-//	GET    /debug/vars         raw expvar dump
-//	GET    /debug/pprof/...    Go profiling (with -pprof)
+//	POST   /v1/jobs                 submit a run or an experiment (?wait=1 blocks)
+//	GET    /v1/jobs/{id}            job status and result
+//	GET    /v1/jobs/{id}/trace      Chrome trace JSON of a traced run
+//	DELETE /v1/jobs/{id}            cancel a job
+//	GET    /v1/workloads            the workload registry
+//	GET    /v1/experiments/{name}   run or fetch an experiment (?format=...)
+//	POST   /v1/cells                run one evaluation cell (fleet worker endpoint)
+//	GET    /v1/healthz              liveness probe for fleet coordinators
+//	GET    /metrics                 Prometheus text exposition (fleet view on a coordinator)
+//	GET    /debug/stats             scheduler/cache/throughput metrics
+//	GET    /debug/events            flight-recorder dump (?n= bounds it)
+//	GET    /debug/trace             span log (?format=json|chrome, &canonical=1)
+//	GET    /debug/vars              raw expvar dump
+//	GET    /debug/pprof/...         Go profiling (with -pprof)
 //
 // Usage:
 //
 //	elfd -addr :8080 -workers 8 -queue 128 -job-timeout 5m \
 //	     -log-level info -log-format text -pprof
 //
-// Coordinator mode: -fleet http://w1:8080,http://w2:8080 shards figure
-// and sweep matrix cells across the listed elfd workers (each serving
+// A job's kind is "run" (one workload × one config) or the name of a
+// registered experiment (figure-6 … figure-9, btb, ablate, sweep-faq,
+// sweep-depth); an experiment job's result is {table, cells}.
+//
+// Coordinator mode: -fleet http://w1:8080,http://w2:8080 shards every
+// experiment job's cells across the listed elfd workers (each serving
 // POST /v1/cells), falling back to local execution when the whole fleet
 // is unreachable. The coordinator also federates worker metrics (scraped
 // every -federate-interval) into its own /metrics and stitches every
@@ -126,7 +130,7 @@ func main() {
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	pprofOn := flag.Bool("pprof", false, "serve Go profiling under /debug/pprof/")
-	fleet := flag.String("fleet", "", "comma-separated worker base URLs; shard matrix cells across them (coordinator mode)")
+	fleet := flag.String("fleet", "", "comma-separated worker base URLs; shard experiment cells across them (coordinator mode)")
 	federateInterval := flag.Duration("federate-interval", 10*time.Second, "coordinator scrape cadence for worker /metrics federation")
 	slowCellMS := flag.Int("slow-cell-ms", 0, "record a slow_cell flight-recorder event for cells slower than this (0 = off)")
 	eventsSize := flag.Int("events", 0, "flight-recorder ring size (0 = 4096)")

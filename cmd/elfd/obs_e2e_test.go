@@ -86,7 +86,7 @@ func figureJobResult(t *testing.T, h http.Handler) string {
 	t.Helper()
 	w, m := uint64(1_000), uint64(4_000)
 	rec, decoded := doJSON(t, h, "POST", "/v1/jobs?wait=1",
-		jobRequest{Kind: "figure", Figure: 6, Warmup: &w, Measure: &m})
+		jobRequest{Kind: "figure-6", Warmup: &w, Measure: &m})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("figure job: %d %s", rec.Code, rec.Body.String())
 	}

@@ -30,9 +30,10 @@ import (
 	"elfetch/internal/workload"
 )
 
-// variantRuns counts completed simulation tasks per configuration name
-// ("DCF", "U-ELF", "figure:8", ...). Package-level because expvar's
-// registry is process-global; the per-server obs counters mirror it.
+// variantRuns counts completed simulation tasks per configuration or
+// experiment name ("DCF", "U-ELF", "figure-8", ...). Package-level
+// because expvar's registry is process-global; the per-server obs
+// counters mirror it.
 var variantRuns = expvar.NewMap("elfd_variant_runs")
 
 // serverOptions carries the optional wiring newServer accepts.
@@ -44,7 +45,7 @@ type serverOptions struct {
 	Logger *slog.Logger
 	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
-	// Backend, when non-nil, dispatches figure/sweep matrix cells through
+	// Backend, when non-nil, dispatches every experiment's cells through
 	// an execution backend (coordinator mode: a Fleet sharding cells
 	// across remote workers) instead of the in-process pool. Single-cell
 	// jobs and POST /v1/cells always run locally — a worker forwarding
@@ -123,7 +124,7 @@ func newServer(s *sched.Scheduler, defaults eval.Params, opt serverOptions) *ser
 	srv.mux.HandleFunc("GET /v1/jobs/{id}/trace", srv.handleJobTrace)
 	srv.mux.HandleFunc("DELETE /v1/jobs/{id}", srv.handleCancel)
 	srv.mux.HandleFunc("GET /v1/workloads", srv.handleWorkloads)
-	srv.mux.HandleFunc("GET /v1/figures/{n}", srv.handleFigure)
+	srv.mux.HandleFunc("GET /v1/experiments/{name}", srv.handleExperiment)
 	if srv.fed != nil {
 		// Coordinator: /metrics is the fleet view — own registry merged
 		// with the latest worker snapshots under the federation rules.
@@ -206,8 +207,8 @@ func (s *server) reqLog(ctx context.Context) *slog.Logger {
 	return s.log
 }
 
-// countRun records a completed simulation task under its config/figure
-// name, in both the expvar map and the Prometheus registry.
+// countRun records a completed simulation task under its config or
+// experiment name, in both the expvar map and the Prometheus registry.
 func (s *server) countRun(name string) {
 	variantRuns.Add(name, 1)
 	s.reg.Counter("elfd_runs_total", "Completed simulation tasks, by configuration.",
@@ -311,9 +312,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // jobRequest is the POST /v1/jobs body.
 type jobRequest struct {
-	// Kind selects the experiment: "run" (default; one workload × one
-	// config), "figure" (a whole figure matrix), "sweep-faq" or
-	// "sweep-depth".
+	// Kind selects the job: "run" (default; one workload × one config)
+	// or the name of a registered experiment (eval.ExperimentNames:
+	// "figure-6" … "figure-9", "btb", "ablate", "sweep-faq",
+	// "sweep-depth"), which runs its whole cell list.
 	Kind string `json:"kind,omitempty"`
 
 	// Workload names a registered workload (run kind); WorkloadJSON
@@ -325,14 +327,6 @@ type jobRequest struct {
 	// selects the coupled baseline instead.
 	Variant string `json:"variant,omitempty"`
 	NoDCF   bool   `json:"noDCF,omitempty"`
-
-	// Figure is 6..9 (figure kind).
-	Figure int `json:"figure,omitempty"`
-
-	// Sizes / Depths / Workloads parameterize the sweep kinds.
-	Sizes     []int    `json:"sizes,omitempty"`
-	Depths    []int    `json:"depths,omitempty"`
-	Workloads []string `json:"workloads,omitempty"`
 
 	// Warmup/Measure override the server defaults when non-nil.
 	Warmup  *uint64 `json:"warmup,omitempty"`
@@ -370,10 +364,10 @@ func (s *server) params(req *jobRequest) eval.Params {
 	return p
 }
 
-// traceGrid starts a grid root span for a coordinator-dispatched matrix
-// task, so every cell the backend fans out becomes a child of one trace.
-// Single-node servers (no backend) run untraced — their matrix cells
-// never cross a process boundary. Callers must nil-guard the span.
+// traceGrid starts a grid root span for a coordinator-dispatched
+// experiment, so every cell the backend fans out becomes a child of one
+// trace. Single-node servers (no backend) run untraced — their cells never
+// cross a process boundary. Callers must nil-guard the span.
 func (s *server) traceGrid(ctx context.Context, name string) (context.Context, *obs.Span) {
 	if s.backend == nil {
 		return ctx, nil
@@ -393,18 +387,12 @@ func finishGrid(grid *obs.Span, err error) {
 	}
 }
 
-// figureResult is a figure job's cached payload: the rendered table, the
-// legacy map index, and the ordered cell list (stable JSON — nothing in
-// it depends on map iteration order).
-type figureResult struct {
-	Table   *report.Table                     `json:"table"`
-	Results map[string]map[string]eval.Result `json:"results"`
-	Cells   eval.Results                      `json:"cells"`
-}
-
-// textResult is a sweep job's cached payload.
-type textResult struct {
-	Text string `json:"text"`
+// experimentResult is an experiment job's cached payload: the rendered
+// table and the ordered cell results (stable JSON — nothing in it depends
+// on map iteration order).
+type experimentResult struct {
+	Table *report.Table `json:"table"`
+	Cells eval.Results  `json:"cells"`
 }
 
 // buildJob validates a request and returns the job label, content-address
@@ -415,66 +403,36 @@ func (s *server) buildJob(req *jobRequest) (label, key string, task sched.Task, 
 	if err := p.Validate(); err != nil {
 		return "", "", nil, badRequest("%v", err)
 	}
-	if req.Trace && req.Kind != "" && req.Kind != "run" {
+	if req.Kind == "" || req.Kind == "run" {
+		return s.buildRun(req, p)
+	}
+	if req.Trace {
 		return "", "", nil, badRequest("trace is only supported for run jobs, not %q", req.Kind)
 	}
-	switch req.Kind {
-	case "", "run":
-		return s.buildRun(req, p)
-	case "figure":
-		n := req.Figure
-		if n < 6 || n > 9 {
-			return "", "", nil, badRequest("eval: unknown figure %d (want 6-9)", n)
-		}
-		label = fmt.Sprintf("figure-%d", n)
-		key = sched.Key("figure", n, p.Warmup, p.Measure)
-		task = func(ctx context.Context) (any, error) {
-			ctx, grid := s.traceGrid(ctx, label)
-			t, res, err := eval.FigureTable(ctx, n, p)
-			finishGrid(grid, err)
-			if err != nil {
-				return nil, err
-			}
-			s.countRun(label)
-			return figureResult{Table: t, Results: res.Map(), Cells: res}, nil
-		}
-		return label, key, task, nil
-	case "sweep-faq":
-		wl := ""
-		if len(req.Workloads) > 0 {
-			wl = req.Workloads[0]
-		}
-		label = "sweep-faq"
-		key = sched.Key("sweep-faq", req.Sizes, wl, p.Warmup, p.Measure)
-		task = func(ctx context.Context) (any, error) {
-			ctx, grid := s.traceGrid(ctx, label)
-			var sb strings.Builder
-			err := eval.SweepFAQ(ctx, &sb, p, req.Sizes, wl)
-			finishGrid(grid, err)
-			if err != nil {
-				return nil, err
-			}
-			s.countRun(label)
-			return textResult{Text: sb.String()}, nil
-		}
-		return label, key, task, nil
-	case "sweep-depth":
-		label = "sweep-depth"
-		key = sched.Key("sweep-depth", req.Depths, req.Workloads, p.Warmup, p.Measure)
-		task = func(ctx context.Context) (any, error) {
-			ctx, grid := s.traceGrid(ctx, label)
-			var sb strings.Builder
-			err := eval.SweepFrontDepth(ctx, &sb, p, req.Depths, req.Workloads)
-			finishGrid(grid, err)
-			if err != nil {
-				return nil, err
-			}
-			s.countRun(label)
-			return textResult{Text: sb.String()}, nil
-		}
-		return label, key, task, nil
+	return s.buildExperiment(req.Kind, p)
+}
+
+// buildExperiment assembles a registered experiment's job. Its cells go
+// through the coordinator backend when there is one (p.Runner), so a
+// coordinator shards every experiment — figures, sweeps and ablations
+// alike — across its fleet.
+func (s *server) buildExperiment(name string, p eval.Params) (label, key string, task sched.Task, err error) {
+	if _, err := eval.LookupExperiment(name); err != nil {
+		return "", "", nil, badRequest("unknown kind %q: want run or an experiment (%s)",
+			name, strings.Join(eval.ExperimentNames(), ", "))
 	}
-	return "", "", nil, badRequest("unknown kind %q (want run, figure, sweep-faq or sweep-depth)", req.Kind)
+	key = sched.Key("experiment", name, p.Warmup, p.Measure)
+	task = func(ctx context.Context) (any, error) {
+		ctx, grid := s.traceGrid(ctx, name)
+		t, res, err := eval.RunExperiment(ctx, name, p)
+		finishGrid(grid, err)
+		if err != nil {
+			return nil, err
+		}
+		s.countRun(name)
+		return experimentResult{Table: t, Cells: res}, nil
+	}
+	return name, key, task, nil
 }
 
 // buildRun assembles a single (workload, config) measurement job.
@@ -738,21 +696,16 @@ func (s *server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleFigure runs (or serves from cache) a whole figure matrix
+// handleExperiment runs (or serves from cache) a registered experiment
 // synchronously. ?format=text|csv|json selects the rendering; warmup and
 // insts query parameters override the server defaults.
-func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	n, err := strconv.Atoi(r.PathValue("n"))
-	if err != nil {
-		writeErr(w, r, badRequest("bad figure number %q", r.PathValue("n")))
-		return
-	}
+func (s *server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	format, err := report.ParseFormat(r.URL.Query().Get("format"))
 	if err != nil {
 		writeErr(w, r, badRequest("%v", err))
 		return
 	}
-	req := jobRequest{Kind: "figure", Figure: n}
+	var req jobRequest
 	if v := r.URL.Query().Get("warmup"); v != "" {
 		u, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
@@ -769,7 +722,12 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Measure = &u
 	}
-	label, key, task, err := s.buildJob(&req)
+	p := s.params(&req)
+	if err := p.Validate(); err != nil {
+		writeErr(w, r, badRequest("%v", err))
+		return
+	}
+	label, key, task, err := s.buildExperiment(r.PathValue("name"), p)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -787,17 +745,17 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, statusCode(st), st)
 		return
 	}
-	fr, ok := st.Result.(figureResult)
+	er, ok := st.Result.(experimentResult)
 	if !ok {
-		writeErr(w, r, fmt.Errorf("unexpected figure payload %T", st.Result))
+		writeErr(w, r, fmt.Errorf("unexpected experiment payload %T", st.Result))
 		return
 	}
 	switch format {
 	case report.JSON:
-		writeJSON(w, http.StatusOK, fr)
+		writeJSON(w, http.StatusOK, er)
 	default:
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fr.Table.Write(w, format)
+		er.Table.Write(w, format)
 	}
 }
 

@@ -161,7 +161,7 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 			map[string]any{"workload": "does-not-exist"}},
 		{"no workload", http.StatusBadRequest, map[string]any{"variant": "uelf"}},
 		{"bad kind", http.StatusBadRequest, map[string]any{"kind": "explode"}},
-		{"bad figure", http.StatusBadRequest, map[string]any{"kind": "figure", "figure": 4}},
+		{"bad figure", http.StatusBadRequest, map[string]any{"kind": "figure-4"}},
 		{"zero measure", http.StatusBadRequest,
 			map[string]any{"workload": "641.leela_s", "measure": 0}},
 		{"both workloads", http.StatusBadRequest,
@@ -270,10 +270,11 @@ func TestUnknownJobIs404(t *testing.T) {
 func TestFigureEndpointBadInputs(t *testing.T) {
 	srv, _ := testServer(t)
 	for target, want := range map[string]int{
-		"/v1/figures/5":               http.StatusBadRequest,
-		"/v1/figures/abc":             http.StatusBadRequest,
-		"/v1/figures/8?format=xml":    http.StatusBadRequest,
-		"/v1/figures/8?warmup=banana": http.StatusBadRequest,
+		"/v1/experiments/figure-5":               http.StatusBadRequest,
+		"/v1/experiments/abc":                    http.StatusBadRequest,
+		"/v1/experiments/run":                    http.StatusBadRequest,
+		"/v1/experiments/figure-8?format=xml":    http.StatusBadRequest,
+		"/v1/experiments/figure-8?warmup=banana": http.StatusBadRequest,
 	} {
 		rec, _ := doJSON(t, srv, "GET", target, nil)
 		if rec.Code != want {
@@ -287,7 +288,7 @@ func TestFigureEndpointEndToEndWithCache(t *testing.T) {
 		t.Skip("full figure matrix")
 	}
 	srv, s := testServer(t)
-	target := "/v1/figures/8?warmup=1000&insts=4000&format=json"
+	target := "/v1/experiments/figure-8?warmup=1000&insts=4000&format=json"
 
 	rec, body := doJSON(t, srv, "GET", target, nil)
 	if rec.Code != http.StatusOK {
@@ -312,7 +313,7 @@ func TestFigureEndpointEndToEndWithCache(t *testing.T) {
 	}
 
 	// Text rendering of the same cached figure.
-	rec, _ = doJSON(t, srv, "GET", "/v1/figures/8?warmup=1000&insts=4000&format=text", nil)
+	rec, _ = doJSON(t, srv, "GET", "/v1/experiments/figure-8?warmup=1000&insts=4000&format=text", nil)
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "Figure 8") {
 		t.Fatalf("text figure: %d %s", rec.Code, rec.Body.String())
 	}
@@ -455,7 +456,7 @@ func TestTraceEndpoint(t *testing.T) {
 
 	// Trace on a non-run kind is a 400.
 	rec, _ = doJSON(t, srv, "POST", "/v1/jobs",
-		map[string]any{"kind": "figure", "figure": 8, "trace": true})
+		map[string]any{"kind": "figure-8", "trace": true})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("trace on figure kind: %d, want 400", rec.Code)
 	}

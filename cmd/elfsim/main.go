@@ -47,26 +47,18 @@ import (
 	"elfetch/internal/workload"
 )
 
+// frontConfig maps a -front name to its configuration: "nodcf" is the
+// coupled baseline, anything else an ELF variant name (core.ParseVariant).
 func frontConfig(name string) (pipeline.Config, error) {
 	base := pipeline.DefaultConfig()
-	switch strings.ToLower(name) {
-	case "nodcf":
+	if strings.EqualFold(name, "nodcf") {
 		return base.NoDCF(), nil
-	case "dcf":
-		return base, nil
-	case "lelf", "l-elf":
-		return base.WithVariant(core.LELF), nil
-	case "retelf", "ret-elf":
-		return base.WithVariant(core.RETELF), nil
-	case "indelf", "ind-elf":
-		return base.WithVariant(core.INDELF), nil
-	case "condelf", "cond-elf":
-		return base.WithVariant(core.CONDELF), nil
-	case "uelf", "u-elf":
-		return base.WithVariant(core.UELF), nil
-	default:
-		return base, fmt.Errorf("unknown front-end %q (nodcf|dcf|lelf|retelf|indelf|condelf|uelf)", name)
 	}
+	v, err := core.ParseVariant(name)
+	if err != nil {
+		return base, err
+	}
+	return base.WithVariant(v), nil
 }
 
 func main() {

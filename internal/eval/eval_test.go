@@ -74,9 +74,13 @@ func TestRunOneCancelled(t *testing.T) {
 // context is cancelled mid-matrix: a full-length matrix would take many seconds, but a
 // cancel a few milliseconds in must return within the poll latency.
 func TestMatrixCancellation(t *testing.T) {
-	entries, err := figureEntries()
-	if err != nil {
-		t.Fatal(err)
+	var entries []*workload.Entry
+	for _, name := range workload.FigureSet() {
+		e, err := workload.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
 	}
 	base := pipeline.DefaultConfig()
 	cfgs := []pipeline.Config{base, base.WithVariant(core.UELF)}
@@ -94,7 +98,7 @@ func TestMatrixCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = MatrixResults(ctx, entries, cfgs, big)
+	_, err := MatrixResults(ctx, entries, cfgs, big)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -110,7 +114,7 @@ func TestFigure6Harness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness run")
 	}
-	tbl, res, err := Figure6Table(context.Background(), tiny())
+	tbl, res, err := RunExperiment(context.Background(), "figure-6", tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +137,10 @@ func TestFigure6Harness(t *testing.T) {
 }
 
 func TestFigureTableDispatch(t *testing.T) {
-	if _, _, err := FigureTable(context.Background(), 5, tiny()); err == nil {
-		t.Error("figure 5 accepted")
-	}
-	if _, _, err := FigureTable(context.Background(), 10, tiny()); err == nil {
-		t.Error("figure 10 accepted")
+	for _, name := range []string{"figure-5", "figure-10", "6", ""} {
+		if _, _, err := RunExperiment(context.Background(), name, tiny()); err == nil {
+			t.Errorf("experiment %q accepted", name)
+		}
 	}
 }
 
@@ -179,12 +182,16 @@ func TestSweepFrontDepthRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness run")
 	}
+	tbl, _, err := RunExperiment(context.Background(), "sweep-depth", tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := SweepFrontDepth(context.Background(), &buf, tiny(), []int{2, 3}, []string{"641.leela_s"}); err != nil {
+	if err := tbl.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "depth") || len(strings.Split(out, "\n")) < 4 {
+	if !strings.Contains(out, "depth") || len(tbl.Rows) != 5 {
 		t.Fatalf("sweep output:\n%s", out)
 	}
 }
@@ -193,15 +200,15 @@ func TestSweepFAQRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness run")
 	}
-	ctx := context.Background()
+	tbl, _, err := RunExperiment(context.Background(), "sweep-faq", tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := SweepFAQ(ctx, &buf, tiny(), []int{8, 32}, "server1_subtest_1"); err != nil {
+	if err := tbl.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "FAQ depth") {
 		t.Fatalf("output:\n%s", buf.String())
-	}
-	if err := SweepFAQ(ctx, &buf, tiny(), nil, "nope"); err == nil {
-		t.Error("unknown workload accepted")
 	}
 }

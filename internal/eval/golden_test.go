@@ -103,7 +103,7 @@ func TestGoldenFigure6Table(t *testing.T) {
 	if raceEnabled {
 		t.Skip("covered by the non-race run; see TestGoldenStatsEquivalence")
 	}
-	tab, _, err := Figure6Table(context.Background(), Params{Warmup: goldenWarmup, Measure: goldenMeasure})
+	tab, _, err := RunExperiment(context.Background(), "figure-6", Params{Warmup: goldenWarmup, Measure: goldenMeasure})
 	if err != nil {
 		t.Fatal(err)
 	}

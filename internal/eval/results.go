@@ -72,11 +72,11 @@ type CellResult struct {
 	Result Result `json:"result"`
 }
 
-// Results is an ordered evaluation result set: cells appear in grid order
-// (workloads outer, configurations inner, both in the order given to
-// MatrixResults), so its JSON marshalling is stable across runs and
-// processes — unlike the map form, nothing depends on map iteration
-// order. Failed or cancelled cells are absent.
+// Results is an ordered evaluation result set: cells appear in dispatch
+// order (an experiment's cell order; for MatrixResults, workloads outer
+// and configurations inner, both in the order given), so its JSON
+// marshalling is stable across runs and processes. Failed or cancelled
+// cells are absent.
 type Results []CellResult
 
 // Get returns the result for (workload, config name).
@@ -87,41 +87,4 @@ func (rs Results) Get(workload, config string) (Result, bool) {
 		}
 	}
 	return Result{}, false
-}
-
-// ByEntry returns the cells measuring workload, preserving order.
-func (rs Results) ByEntry(workload string) Results {
-	var out Results
-	for _, cr := range rs {
-		if cr.Cell.Workload == workload {
-			out = append(out, cr)
-		}
-	}
-	return out
-}
-
-// ByConfig returns the cells measuring the named configuration,
-// preserving order.
-func (rs Results) ByConfig(config string) Results {
-	var out Results
-	for _, cr := range rs {
-		if cr.Cell.Config.Name() == config {
-			out = append(out, cr)
-		}
-	}
-	return out
-}
-
-// Map reindexes the results as [workload][config name] — the legacy shape
-// the figure payloads and older callers consume.
-func (rs Results) Map() map[string]map[string]Result {
-	out := make(map[string]map[string]Result)
-	for _, cr := range rs {
-		wl := cr.Cell.Workload
-		if out[wl] == nil {
-			out[wl] = make(map[string]Result)
-		}
-		out[wl][cr.Cell.Config.Name()] = cr.Result
-	}
-	return out
 }

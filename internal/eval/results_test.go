@@ -70,16 +70,6 @@ func TestResultsAccessors(t *testing.T) {
 	if _, ok := rs.Get("c", "DCF"); ok {
 		t.Fatal("Get for absent workload succeeded")
 	}
-	if by := rs.ByEntry("a"); len(by) != 2 || by[0].Result.IPC != 1.0 || by[1].Result.IPC != 1.5 {
-		t.Fatalf("ByEntry(a) = %+v", by)
-	}
-	if by := rs.ByConfig("DCF"); len(by) != 2 || by[0].Cell.Workload != "a" || by[1].Cell.Workload != "b" {
-		t.Fatalf("ByConfig(DCF) = %+v", by)
-	}
-	m := rs.Map()
-	if len(m) != 2 || m["a"][uelf.Name()].IPC != 1.5 || m["b"]["DCF"].IPC != 0.8 {
-		t.Fatalf("Map() = %+v", m)
-	}
 }
 
 // TestResultsJSONStable proves the ordered form's marshalling is

@@ -19,6 +19,13 @@ import (
 	"elfetch/internal/store"
 )
 
+const (
+	// healthPath is the worker liveness endpoint the prober polls.
+	healthPath = "/v1/healthz"
+	// retryMax caps the jittered exponential backoff between attempts.
+	retryMax = 5 * time.Second
+)
+
 // FleetConfig wires a fleet of remote elfd workers.
 type FleetConfig struct {
 	// Workers is the list of worker base URLs ("http://host:port").
@@ -31,11 +38,8 @@ type FleetConfig struct {
 	// (0 = 4).
 	MaxAttempts int
 	// RetryBase is the first backoff delay (0 = 100ms); each retry
-	// doubles it, jittered, capped at RetryMax (0 = 5s).
+	// doubles it, jittered, capped at retryMax.
 	RetryBase time.Duration
-	RetryMax  time.Duration
-	// HealthPath is the worker liveness endpoint (0 = "/v1/healthz").
-	HealthPath string
 	// HealthInterval paces the background health prober, which is what
 	// revives quarantined workers (0 = 5s).
 	HealthInterval time.Duration
@@ -144,12 +148,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 100 * time.Millisecond
 	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 5 * time.Second
-	}
-	if cfg.HealthPath == "" {
-		cfg.HealthPath = "/v1/healthz"
-	}
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = 5 * time.Second
 	}
@@ -251,7 +249,7 @@ func (f *Fleet) probeLoop() {
 func (f *Fleet) probe(w *worker) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.HealthInterval)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.addr+f.cfg.HealthPath, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.addr+healthPath, nil)
 	if err != nil {
 		return false
 	}
@@ -277,12 +275,12 @@ func (f *Fleet) pick() *worker {
 }
 
 // backoff returns the jittered delay before attempt (1-based retry
-// count): base·2^(attempt-1) capped at RetryMax, scaled by a random
+// count): base·2^(attempt-1) capped at retryMax, scaled by a random
 // factor in [0.5, 1) so a burst of retries doesn't re-synchronise.
 func (f *Fleet) backoff(attempt int) time.Duration {
 	d := f.cfg.RetryBase << (attempt - 1)
-	if d > f.cfg.RetryMax || d <= 0 {
-		d = f.cfg.RetryMax
+	if d > retryMax || d <= 0 {
+		d = retryMax
 	}
 	f.mu.Lock()
 	jitter := 0.5 + f.rng.Float64()/2

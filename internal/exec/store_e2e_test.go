@@ -41,9 +41,9 @@ func TestWarmRestartE2E(t *testing.T) {
 			t.Fatalf("store.Open: %v", err)
 		}
 		l := NewLocal(LocalConfig{Workers: 2, Store: d})
-		tab, res, err := eval.Figure6Table(context.Background(), figure6Params(l))
+		tab, res, err := eval.RunExperiment(context.Background(), "figure-6", figure6Params(l))
 		if err != nil {
-			t.Fatalf("Figure6Table: %v", err)
+			t.Fatalf("RunExperiment: %v", err)
 		}
 		var rendered bytes.Buffer
 		if err := tab.WriteText(&rendered); err != nil {

@@ -50,4 +50,10 @@ go test -race -count=1 -run 'TestFleetCloseStopsGoroutines|TestFleetPostReusesCo
 # scheduler forgets finished jobs beyond its window but never a live one.
 go test -race -count=1 -run 'TestSpanLogBound|TestSpanLogConcurrent' ./internal/obs/
 go test -race -count=1 -run 'TestFinishedJobsRetiredBeyondWindow|TestFinishedJobsReleaseContext' ./internal/sched/
+# One grid path: every registered experiment's cells reach Params.Runner,
+# and a coordinator sends a sweep's cells through its backend.
+go test -race -count=1 -run TestExperimentRegistry ./internal/eval/
+go test -race -count=1 -run TestCoordinatorDispatchesExperimentCells ./cmd/elfd/
+# CLI smoke: elfbench has no tests, so this is the gate on its -exp wiring.
+go run ./cmd/elfbench -exp all -warmup 1000 -insts 4000 -format csv >/dev/null
 echo "verify: OK"
