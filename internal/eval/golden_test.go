@@ -81,11 +81,7 @@ func TestGoldenStatsEquivalence(t *testing.T) {
 	var cells []goldenCell
 	for _, e := range workload.All() {
 		for _, cfg := range goldenConfigs() {
-			m := pipeline.MustNew(cfg, e.Program())
-			m.Run(goldenWarmup)
-			m.ResetStats()
-			st := m.Run(goldenMeasure)
-			cells = append(cells, goldenCell{Workload: e.Name, Config: cfg.Name(), Stats: st})
+			cells = append(cells, goldenCell{Workload: e.Name, Config: cfg.Name(), Stats: goldenRun(e, cfg)})
 		}
 	}
 	got, err := json.MarshalIndent(cells, "", " ")
@@ -94,6 +90,71 @@ func TestGoldenStatsEquivalence(t *testing.T) {
 	}
 	got = append(got, '\n')
 	checkGolden(t, filepath.Join("testdata", "golden_stats.json"), got)
+}
+
+// goldenRun measures one cell at the golden run lengths.
+func goldenRun(e *workload.Entry, cfg pipeline.Config) *pipeline.Stats {
+	m := pipeline.MustNew(cfg, e.Program())
+	m.Run(goldenWarmup)
+	m.ResetStats()
+	return m.Run(goldenMeasure)
+}
+
+// experimentCell is one registry cell outside the golden configs: the
+// first experiment that lists it, its workload, its full config and the
+// Stats it produced.
+type experimentCell struct {
+	Experiment string          `json:"experiment"`
+	Workload   string          `json:"workload"`
+	Config     pipeline.Config `json:"config"`
+	Stats      *pipeline.Stats `json:"stats"`
+}
+
+// TestGoldenExperimentCells extends the golden contract to the knobs the
+// golden configs leave at their defaults: every distinct (workload,
+// config) cell of the experiment registry whose config is not a golden
+// config must reproduce its recorded Stats exactly. That covers the
+// RET/IND/COND-ELF variants, the ROB-head-wait checkpoint policy,
+// Boomerang, coupled zero-bubble, the confidence filter, the knobs the
+// ablations turn off, and the FAQ-depth and front-depth sweeps.
+func TestGoldenExperimentCells(t *testing.T) {
+	if raceEnabled {
+		t.Skip("covered by the non-race run; see TestGoldenStatsEquivalence")
+	}
+	golden := map[pipeline.Config]bool{}
+	for _, cfg := range goldenConfigs() {
+		golden[cfg] = true
+	}
+	type key struct {
+		workload string
+		cfg      pipeline.Config
+	}
+	seen := map[key]bool{}
+	var cells []experimentCell
+	for _, name := range ExperimentNames() {
+		x, err := LookupExperiment(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range x.Cells {
+			k := key{c.Workload, c.Config}
+			if golden[c.Config] || seen[k] {
+				continue
+			}
+			seen[k] = true
+			e, err := workload.Lookup(c.Workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells = append(cells, experimentCell{Experiment: name, Workload: c.Workload, Config: c.Config, Stats: goldenRun(e, c.Config)})
+		}
+	}
+	got, err := json.MarshalIndent(cells, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	checkGolden(t, filepath.Join("testdata", "golden_experiments.json"), got)
 }
 
 // TestGoldenFigure6Table pins the rendered Figure 6 table (CSV): the
