@@ -64,12 +64,14 @@ type robEntry struct {
 	addrDone bool
 }
 
-// Resolution is a completed event the pipeline must act on.
+// Resolution is a completed event the pipeline must act on. The resolving
+// uop itself stays in its ROB entry (EntryByID).
 type Resolution struct {
 	// ID is the rob entry's absolute id.
 	ID uint64
-	// U is a copy of the resolving uop.
-	U uop.Uop
+	// FetchID is the resolving uop's fetch identity: an entry squashed
+	// and reused since the event was raised no longer matches it.
+	FetchID uint64
 	// Kind classifies the required flush.
 	Kind uop.FlushKind
 	// RefetchSeq is the correct-path sequence to resteer fetch to.
@@ -83,7 +85,10 @@ type Backend struct {
 	cfg  Config
 	hier *cache.Hierarchy
 
+	// rob is backed by cfg.ROB rounded up to a power of two, so an id's
+	// slot is id&mask; ROBFull still caps occupancy at cfg.ROB.
 	rob      []robEntry
+	mask     uint64
 	robHead  uint64 // oldest absolute id
 	robTail  uint64 // next absolute id
 	iqCount  int
@@ -97,8 +102,7 @@ type Backend struct {
 	depHead []int32
 	depNext []int32
 
-	ready    []int32 // rob slots ready to issue (unsorted, small)
-	deferred []int32 // scratch: port-starved ready entries within a cycle
+	ready []int32 // rob slots ready to issue (issue sorts them by age)
 
 	// wheel buckets issued entries by completion cycle so complete() does
 	// not scan the whole window every cycle. wheelMask+1 exceeds the
@@ -116,8 +120,9 @@ type Backend struct {
 	pendingResolutions *ringq.Queue[Resolution]
 
 	// retired accumulates committed uops for the pipeline to drain each
-	// cycle (BTB establishment, predictor training).
-	retired []uop.Uop
+	// cycle (BTB establishment, predictor training). The pointers address
+	// ROB slots; see DrainRetired.
+	retired []*uop.Uop
 
 	// commitLimit fences retirement below a deferred resolution: the
 	// entry at commitLimit (and younger) may not retire this cycle.
@@ -136,21 +141,25 @@ type Backend struct {
 
 // New builds a backend over the given memory hierarchy.
 func New(cfg Config, hier *cache.Hierarchy) *Backend {
+	size := 1
+	for size < cfg.ROB {
+		size <<= 1
+	}
 	b := &Backend{
 		commitLimit: ^uint64(0),
 		cfg:         cfg,
 		hier:        hier,
-		rob:         make([]robEntry, cfg.ROB),
-		depHead:     make([]int32, cfg.ROB),
-		depNext:     make([]int32, cfg.ROB*2),
+		rob:         make([]robEntry, size),
+		mask:        uint64(size - 1),
+		depHead:     make([]int32, size),
+		depNext:     make([]int32, size*2),
 		// Steady-state allocation discipline (DESIGN.md §17): every
-		// per-cycle buffer gets its worst-case capacity up front. ready,
-		// deferred and mdpWaiters hold rob slots, so the window size
-		// bounds them; retired is drained by the pipeline every cycle.
+		// per-cycle buffer gets its worst-case capacity up front. ready
+		// and mdpWaiters hold rob slots, so the window size bounds them;
+		// retired is drained by the pipeline every cycle.
 		ready:              make([]int32, 0, cfg.ROB),
-		deferred:           make([]int32, 0, cfg.ROB),
 		mdpWaiters:         make([]int32, 0, cfg.ROB),
-		retired:            make([]uop.Uop, 0, 2*cfg.CommitWidth),
+		retired:            make([]*uop.Uop, 0, 2*cfg.CommitWidth),
 		pendingResolutions: ringq.New[Resolution](16),
 	}
 	for i := range b.wheel {
@@ -166,10 +175,10 @@ func New(cfg Config, hier *cache.Hierarchy) *Backend {
 	return b
 }
 
-func (b *Backend) slot(id uint64) *robEntry { return &b.rob[id%uint64(len(b.rob))] }
+func (b *Backend) slot(id uint64) *robEntry { return &b.rob[id&b.mask] }
 
 // ROBFull reports whether another uop can be accepted.
-func (b *Backend) ROBFull() bool { return b.robTail-b.robHead >= uint64(len(b.rob)) }
+func (b *Backend) ROBFull() bool { return b.robTail-b.robHead >= uint64(b.cfg.ROB) }
 
 // ROBEmpty reports an empty window.
 func (b *Backend) ROBEmpty() bool { return b.robTail == b.robHead }
@@ -177,10 +186,10 @@ func (b *Backend) ROBEmpty() bool { return b.robTail == b.robHead }
 // Occupancy returns the number of in-flight uops.
 func (b *Backend) Occupancy() int { return int(b.robTail - b.robHead) }
 
-// Accept renames and dispatches one uop; it returns false (and leaves the
-// uop untaken) when a resource is exhausted. The caller enforces the
-// rename-width limit per cycle.
-func (b *Backend) Accept(u uop.Uop) bool {
+// Accept renames and dispatches one uop, copying it into its ROB entry; it
+// returns false (and leaves the uop untaken) when a resource is exhausted.
+// The caller enforces the rename-width limit per cycle.
+func (b *Backend) Accept(u *uop.Uop) bool {
 	if b.ROBFull() || b.iqCount >= b.cfg.IQ {
 		return false
 	}
@@ -188,9 +197,16 @@ func (b *Backend) Accept(u uop.Uop) bool {
 		return false
 	}
 	id := b.robTail
-	e := b.slot(id)
-	*e = robEntry{u: u, id: id, mdpWait: -1, srcProd: [2]int64{-1, -1}}
-	slotIdx := int32(id % uint64(len(b.rob)))
+	slotIdx := int32(id & b.mask)
+	e := &b.rob[slotIdx]
+	e.u = *u
+	e.id = id
+	e.state = stWaiting
+	e.pending = 0
+	e.doneAt = 0
+	e.mdpWait = -1
+	e.srcProd = [2]int64{-1, -1}
+	e.addrDone = false
 	b.depHead[slotIdx] = -1
 
 	// Source dependences through the RAT.
@@ -209,7 +225,7 @@ func (b *Backend) Accept(u uop.Uop) bool {
 		}
 		// Link edge consumer(slotIdx, s) onto producer pid's list.
 		edge := slotIdx*2 + int32(s)
-		pslot := int32(uint64(pid) % uint64(len(b.rob)))
+		pslot := int32(uint64(pid) & b.mask)
 		b.depNext[edge] = b.depHead[pslot]
 		b.depHead[pslot] = edge
 		e.srcProd[s] = pid
@@ -246,10 +262,11 @@ func (b *Backend) Accept(u uop.Uop) bool {
 	return true
 }
 
-// latencyFor returns the execution latency of a uop, performing the data
-// cache access for memory operations (side effects included — wrong-path
-// pollution is the point).
-func (b *Backend) latencyFor(u *uop.Uop) int {
+// latencyFor returns the execution latency of an issuing entry, performing
+// the data cache access for memory operations (side effects included —
+// wrong-path pollution is the point).
+func (b *Backend) latencyFor(e *robEntry) int {
+	u := &e.u
 	switch u.SI.Class {
 	case isa.MulDiv:
 		return b.cfg.MulDivLat
@@ -259,7 +276,7 @@ func (b *Backend) latencyFor(u *uop.Uop) int {
 		// Store-to-load forwarding: a load whose address matches an
 		// older in-flight store with a resolved address reads the
 		// store buffer instead of the cache (1-cycle bypass).
-		if b.forwardableStore(u) {
+		if b.forwardableStore(e.id, u) {
 			b.ForwardedLoads++
 			return b.cfg.AGULat + 1
 		}
@@ -277,34 +294,20 @@ func (b *Backend) latencyFor(u *uop.Uop) int {
 	}
 }
 
-// forwardableStore reports an older in-flight store to the same 8-byte
-// slot whose address has resolved — the store-buffer forwarding case.
-func (b *Backend) forwardableStore(u *uop.Uop) bool {
+// forwardableStore reports whether a store older than the load u at
+// loadID, on the same path, has resolved its address to the load's 8-byte
+// slot — the store-buffer forwarding case. Younger stores never forward.
+func (b *Backend) forwardableStore(loadID uint64, u *uop.Uop) bool {
 	line := u.MemAddr &^ 7
-	// Walk young→old so the *youngest* matching older store decides.
-	id := b.robTail
-	for id > b.robHead {
+	for id := loadID; id > b.robHead; {
 		id--
 		e := b.slot(id)
-		if e.u.FetchID == u.FetchID {
-			// Entries younger than the load are not eligible; restart
-			// the scan below the load itself.
-			continue
-		}
 		if e.u.SI.Class == isa.Store && e.addrDone && e.u.MemAddr&^7 == line &&
-			e.u.WrongPath == u.WrongPath && e.id < b.loadID(u) {
+			e.u.WrongPath == u.WrongPath {
 			return true
 		}
 	}
 	return false
-}
-
-// loadID finds the in-flight id of u (scan; loads issue rarely enough).
-func (b *Backend) loadID(u *uop.Uop) uint64 {
-	if id, ok := b.FindByFetchID(u.FetchID); ok {
-		return id
-	}
-	return b.robTail
 }
 
 // Cycle advances the engine: completion/wakeup, then issue.
@@ -413,7 +416,7 @@ func (b *Backend) checkStoreOrderViolation(store *robEntry) {
 		b.mdp.Train(e.u.PC, store.u.PC)
 		b.pendingResolutions.PushBack(Resolution{
 			ID:         e.id,
-			U:          e.u,
+			FetchID:    e.u.FetchID,
 			Kind:       uop.FlushMemOrder,
 			RefetchSeq: e.u.Seq,
 			RefetchPC:  e.u.PC,
@@ -432,38 +435,32 @@ func (b *Backend) raiseBranchResolution(e *robEntry) {
 	}
 	b.pendingResolutions.PushBack(Resolution{
 		ID:         e.id,
-		U:          e.u,
+		FetchID:    e.u.FetchID,
 		Kind:       kind,
 		RefetchSeq: e.u.Seq + 1,
 		RefetchPC:  e.u.ActTarget,
 	})
 }
 
-// issue selects ready uops oldest-first within port constraints.
+// issue selects ready uops oldest-first within port constraints: it sorts
+// the ready list by age and walks it once, issuing each entry a port is
+// free for and keeping the rest for the next cycle. Issue order is age
+// order, which fixes the order of the data-cache accesses in latencyFor
+// and of the completion wheel's buckets.
 func (b *Backend) issue(now uint64) {
 	if len(b.ready) == 0 {
 		return
 	}
+	b.sortReady()
 	alu, muldiv, mem, simd := b.cfg.ALUPorts, b.cfg.MulDivPorts, b.cfg.MemPorts, b.cfg.SIMDPorts
 	issuedTotal := 0
 	limit := b.cfg.ALUPorts + b.cfg.MemPorts + b.cfg.SIMDPorts + 1
-	// Selection: repeatedly pick the oldest ready entry that fits a port.
-	for issuedTotal < limit {
-		bestIdx := -1
-		var bestID uint64
-		for i, s := range b.ready {
-			e := &b.rob[s]
-			if e.state != stReady {
-				continue
-			}
-			if bestIdx < 0 || e.id < bestID {
-				bestIdx, bestID = i, e.id
-			}
-		}
-		if bestIdx < 0 {
+	kept := b.ready[:0]
+	for i, s := range b.ready {
+		if issuedTotal == limit {
+			kept = append(kept, b.ready[i:]...)
 			break
 		}
-		s := b.ready[bestIdx]
 		e := &b.rob[s]
 		fits := false
 		switch e.u.SI.Class {
@@ -489,18 +486,12 @@ func (b *Backend) issue(now uint64) {
 				fits = true
 			}
 		}
-		// Remove from ready list regardless of fit this cycle? No:
-		// keep unfitting entries for next cycle; but remove to avoid
-		// rescanning — push back after the loop.
-		b.ready[bestIdx] = b.ready[len(b.ready)-1]
-		b.ready = b.ready[:len(b.ready)-1]
 		if !fits {
-			// No port this cycle: try again next cycle.
-			b.deferred = append(b.deferred, s)
+			kept = append(kept, s)
 			continue
 		}
 		e.state = stIssued
-		e.doneAt = now + uint64(b.latencyFor(&e.u))
+		e.doneAt = now + uint64(b.latencyFor(e))
 		wslot := e.doneAt % uint64(len(b.wheel))
 		b.wheel[wslot] = append(b.wheel[wslot], s)
 		if e.u.WrongPath {
@@ -509,9 +500,22 @@ func (b *Backend) issue(now uint64) {
 		b.iqCount--
 		issuedTotal++
 	}
-	// Return port-starved entries to the ready list.
-	b.ready = append(b.ready, b.deferred...)
-	b.deferred = b.deferred[:0]
+	b.ready = kept
+}
+
+// sortReady orders the ready list oldest first. Entries mostly arrive in
+// age order, so an insertion sort runs in close to linear time.
+func (b *Backend) sortReady() {
+	r := b.ready
+	for i := 1; i < len(r); i++ {
+		s := r[i]
+		id := b.rob[s].id
+		j := i
+		for ; j > 0 && b.rob[r[j-1]].id > id; j-- {
+			r[j] = r[j-1]
+		}
+		r[j] = s
+	}
 }
 
 // LimitCommit fences retirement: entries with id >= limit stay in the ROB
@@ -546,7 +550,7 @@ func (b *Backend) Commit(now uint64) {
 			b.lsqCount--
 		}
 		if !e.u.WrongPath {
-			b.retired = append(b.retired, e.u)
+			b.retired = append(b.retired, &e.u)
 			b.Committed++
 		}
 		b.clearRATIfOwner(e)
@@ -561,8 +565,10 @@ func (b *Backend) clearRATIfOwner(e *robEntry) {
 	}
 }
 
-// DrainRetired returns and clears the committed-uop buffer.
-func (b *Backend) DrainRetired() []uop.Uop {
+// DrainRetired returns and clears the committed-uop buffer. The uops are
+// the retired ROB entries themselves: they stay valid until the next
+// Accept, which may reuse their slots.
+func (b *Backend) DrainRetired() []*uop.Uop {
 	r := b.retired
 	b.retired = b.retired[:0]
 	return r
@@ -574,9 +580,9 @@ func (b *Backend) OldestResolution() *Resolution {
 	for b.pendingResolutions.Len() > 0 {
 		r := b.pendingResolutions.Front()
 		e := b.slot(r.ID)
-		if r.ID < b.robHead || e.id != r.ID || e.u.FetchID != r.U.FetchID {
+		if r.ID < b.robHead || e.id != r.ID || e.u.FetchID != r.FetchID {
 			if b.Trace {
-				println("DROP resolution id", r.ID, "fid", r.U.FetchID, "head", b.robHead)
+				println("DROP resolution id", r.ID, "fid", r.FetchID, "head", b.robHead)
 			}
 			b.pendingResolutions.PopFront()
 			continue
@@ -660,7 +666,7 @@ func (b *Backend) SquashFrom(boundary uint64) {
 		if e.state != stWaiting {
 			continue
 		}
-		slotIdx := int32(id % uint64(len(b.rob)))
+		slotIdx := int32(id & b.mask)
 		e.pending = 0
 		for s, pid := range e.srcProd {
 			if pid < 0 || uint64(pid) < b.robHead || uint64(pid) >= b.robTail {
@@ -671,7 +677,7 @@ func (b *Backend) SquashFrom(boundary uint64) {
 				continue
 			}
 			edge := slotIdx*2 + int32(s)
-			pslot := int32(uint64(pid) % uint64(len(b.rob)))
+			pslot := int32(uint64(pid) & b.mask)
 			b.depNext[edge] = b.depHead[pslot]
 			b.depHead[pslot] = edge
 			e.pending++

@@ -112,30 +112,23 @@ func (d *DCF) Cycle(now uint64) {
 			d.PredecodeMiss++
 		}
 	}
+	// The block is built in its FAQ slot.
+	blk := d.FAQ.Push()
+	blk.Start = d.pc
+	blk.Level = level
+	blk.ReadyAt = now + d.BPredToFAQ
 	if level == btb.Miss {
 		// Sequential guessing past a BTB miss (Section III-C).
-		blk := FAQBlock{
-			Start:   d.pc,
-			Count:   btb.MaxInsts,
-			NextPC:  d.pc.Plus(btb.MaxInsts),
-			SeqMiss: true,
-			Level:   btb.Miss,
-			ReadyAt: now + d.BPredToFAQ,
-		}
+		blk.Count = btb.MaxInsts
+		blk.NextPC = d.pc.Plus(btb.MaxInsts)
+		blk.SeqMiss = true
 		d.pc = blk.NextPC
-		d.FAQ.Push(blk)
 		d.Blocks++
 		d.SeqBlocks++
 		return
 	}
-
-	blk := FAQBlock{
-		Start:   d.pc,
-		Count:   int(entry.Count),
-		NextPC:  entry.FallThrough(),
-		Level:   level,
-		ReadyAt: now + d.BPredToFAQ,
-	}
+	blk.Count = int(entry.Count)
+	blk.NextPC = entry.FallThrough()
 
 	bimodalOverride := false // tagged TAGE overrode the bimodal on the L0 path
 	indirectSlow := false    // ITTAGE (not L0 BTC/RAS) provided the target
@@ -143,12 +136,12 @@ func (d *DCF) Cycle(now uint64) {
 
 	for i := 0; i < int(entry.NumBranches); i++ {
 		src := entry.Branches[i]
-		br := BlockBranch{
-			Offset: int(src.Offset),
-			Class:  src.Class,
-			HistCp: d.Hist,
-			RASCp:  d.RAS.Checkpoint(),
-		}
+		br := &blk.Brs[blk.NumBr]
+		blk.NumBr++
+		br.Offset = int(src.Offset)
+		br.Class = src.Class
+		br.HistCp = d.Hist
+		br.RASCp = d.RAS.Checkpoint()
 		brPC := d.pc.Plus(br.Offset)
 
 		switch {
@@ -200,9 +193,6 @@ func (d *DCF) Cycle(now uint64) {
 			}
 		}
 
-		blk.Brs[blk.NumBr] = br
-		blk.NumBr++
-
 		if br.PredTaken {
 			blk.Count = br.Offset + 1
 			blk.TermTaken = true
@@ -245,7 +235,6 @@ func (d *DCF) Cycle(now uint64) {
 	if blk.NextPC == 0 {
 		d.halted = true
 	}
-	d.FAQ.Push(blk)
 	d.Blocks++
 }
 

@@ -278,7 +278,7 @@ func TestDCFCondUsesTAGEAndCheckpoints(t *testing.T) {
 func TestFAQRingBehaviour(t *testing.T) {
 	q := NewFAQ(4)
 	for i := 0; i < 4; i++ {
-		q.Push(FAQBlock{Start: isa.Addr(0x1000 + i*64)})
+		q.Push().Start = isa.Addr(0x1000 + i*64)
 	}
 	if !q.Full() {
 		t.Fatal("queue should be full")
@@ -287,7 +287,7 @@ func TestFAQRingBehaviour(t *testing.T) {
 		t.Errorf("At(2) = %v", q.At(2).Start)
 	}
 	q.Pop()
-	q.Push(FAQBlock{Start: 0x9000})
+	q.Push().Start = 0x9000
 	if q.Head().Start != 0x1040 {
 		t.Errorf("head = %v", q.Head().Start)
 	}
@@ -305,14 +305,14 @@ func TestFAQRingBehaviour(t *testing.T) {
 
 func TestFAQOverflowPanics(t *testing.T) {
 	q := NewFAQ(2)
-	q.Push(FAQBlock{})
-	q.Push(FAQBlock{})
+	q.Push()
+	q.Push()
 	defer func() {
 		if recover() == nil {
 			t.Error("overflow did not panic")
 		}
 	}()
-	q.Push(FAQBlock{})
+	q.Push()
 }
 
 func TestDCFBackpressureWhenFAQFull(t *testing.T) {

@@ -93,17 +93,20 @@ func (q *FAQ) Cap() int { return len(q.blocks) }
 // Full reports whether another block can be pushed.
 func (q *FAQ) Full() bool { return q.n == len(q.blocks) }
 
-// Push enqueues a block; the queue must not be full.
-func (q *FAQ) Push(b FAQBlock) {
+// Push enqueues a cleared block and returns it for the caller to fill in
+// place; the queue must not be full.
+func (q *FAQ) Push() *FAQBlock {
 	if q.Full() {
 		//lint:allow panic ring invariant: the DCF checks Full before pushing; overflow means a modeling bug
 		panic("frontend: FAQ overflow")
 	}
-	q.blocks[(q.head+q.n)%len(q.blocks)] = b
+	b := &q.blocks[(q.head+q.n)%len(q.blocks)]
+	*b = FAQBlock{}
 	q.n++
 	if q.n > q.hw {
 		q.hw = q.n
 	}
+	return b
 }
 
 // HighWater returns the deepest occupancy observed since construction (or

@@ -24,8 +24,9 @@ func (m *Machine) dumpState(t *testing.T) {
 		t.Logf("  head start=%v count=%d ready=%d term=%v seqmiss=%v", h.Start, h.Count, h.ReadyAt, h.TermTaken, h.SeqMiss)
 	}
 	if r := m.be.OldestResolution(); r != nil {
+		u := m.be.EntryByID(r.ID)
 		t.Logf("  pending resolution id=%d kind=%v pc=%v coupled=%v bound=%v head=%d",
-			r.ID, r.Kind, r.U.PC, r.U.Coupled, r.U.CkptBound, m.be.HeadID())
+			r.ID, r.Kind, u.PC, u.Coupled, u.CkptBound, m.be.HeadID())
 	}
 	m.be.DumpWindow(func(id, pc uint64, class string, state uint8, pending int8, mdpWait int64, doneAt uint64, wrong bool) {
 		t.Logf("  rob id=%d pc=0x%x %s state=%d pending=%d mdpWait=%d doneAt=%d wrong=%v", id, pc, class, state, pending, mdpWait, doneAt, wrong)

@@ -83,12 +83,13 @@ func (m *Machine) discardTail(g *fetchGroup, keep int) {
 	g.uops = g.uops[:keep]
 }
 
-// keep forwards a decoded uop to rename.
+// keep forwards a decoded uop to rename, copying it into the renameQ tail
+// slot.
 func (m *Machine) keep(u *uop.Uop) {
 	if m.tracer != nil {
 		m.tracer.decoded(u.FetchID, m.now)
 	}
-	m.renameQ.PushBack(*u)
+	*m.renameQ.PushSlot() = *u
 }
 
 // frontRedirect points fetch at target starting at cycle `at`, rewinding

@@ -60,13 +60,12 @@ func (m *Machine) fetchCoupled(now uint64) {
 	var lines [2]isa.Addr
 	nLines := 0
 	for i := 0; i < m.cfg.FetchWidth; i++ {
-		u := m.newUop(pc)
+		u := m.newUop(g, pc)
 		if elastic {
 			u.Coupled = true
 			m.elf.OnCoupledFetch(1)
 			m.Stats.CoupledFetched++
 		}
-		g.uops = append(g.uops, u)
 		line := pc.Line(m.hier.L0I.LineBytes())
 		if nLines == 0 || lines[nLines-1] != line {
 			lines[nLines] = line
@@ -126,10 +125,9 @@ func (m *Machine) fetchDecoupled(now uint64) {
 			break
 		}
 		pc := head.Start.Plus(m.faqOffset)
-		u := m.newUop(pc)
+		u := m.newUop(g, pc)
 		u.FromSeqMiss = head.SeqMiss
-		m.bindBlockBranch(&u, head, m.faqOffset)
-		g.uops = append(g.uops, u)
+		m.bindBlockBranch(u, head, m.faqOffset)
 		addLine(pc)
 		m.faqOffset++
 

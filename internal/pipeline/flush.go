@@ -17,12 +17,15 @@ func (m *Machine) handleResolutions(now uint64) {
 	if r == nil {
 		return
 	}
+	// The resolving uop is read in its ROB entry, looked up before
+	// SquashFrom: a memory-order flush squashes the load's own entry, whose
+	// slot keeps its contents until the next Accept.
+	u := m.be.EntryByID(r.ID)
 	// Coupled-checkpoint policy (Section IV-D1): an instruction without a
 	// bound checkpoint cannot restore predictor state; it must wait for
 	// binding (late-bind) or the ROB head.
-	if r.U.Coupled {
-		live := m.be.EntryByID(r.ID)
-		bound := live != nil && live.CkptBound
+	if u.Coupled {
+		bound := u.CkptBound
 		atHead := r.ID == m.be.HeadID()
 		wait := false
 		switch m.cfg.Ckpt {
@@ -48,7 +51,7 @@ func (m *Machine) handleResolutions(now uint64) {
 	m.probeFlush(now)
 	m.btbBuilder.ForceBoundary(r.RefetchPC)
 	if m.Debug {
-		println("cyc", now, "FLUSH", r.Kind.String(), "pc", uint64(r.U.PC), "refetch", uint64(r.RefetchPC), "seq", r.RefetchSeq)
+		println("cyc", now, "FLUSH", r.Kind.String(), "pc", uint64(u.PC), "refetch", uint64(r.RefetchPC), "seq", r.RefetchSeq)
 	}
 	// Squash: memory-order violations refetch the load itself; branch
 	// mispredictions keep the branch and squash younger.
@@ -59,7 +62,7 @@ func (m *Machine) handleResolutions(now uint64) {
 	m.be.SquashFrom(boundary)
 	m.squashFrontendAll()
 	// Repair speculative predictor state.
-	hist, rasRepaired := m.repairSpeculativeState(&r.U, r.Kind)
+	hist, rasRepaired := m.repairSpeculativeState(u, r.Kind)
 	// Restart the front end at the correct PC.
 	if m.cfg.Front == FrontNoDCF {
 		m.specHist = hist

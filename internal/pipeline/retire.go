@@ -18,8 +18,7 @@ func (m *Machine) retire() {
 			m.probeCommit(m.now)
 		}
 	}
-	for i := range retired {
-		u := &retired[i]
+	for _, u := range retired {
 		si := u.SI
 
 		if si.Class == isa.Store {
