@@ -47,8 +47,9 @@ const (
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	t.CloseSquashed()
 	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: metadataEvents()}
-	for i := range t.events {
-		e := &t.events[i]
+	events := t.Events()
+	for i := range events {
+		e := &events[i]
 		name := fmt.Sprintf("%v %v", e.Class, e.PC)
 		args := map[string]any{
 			"seq":     e.Seq,

@@ -11,14 +11,17 @@ import (
 // Tracer records per-instruction pipeline timestamps (fetch, decode,
 // rename, complete, retire/squash) — the raw material for pipeline
 // visualisation (cmd/elfview renders it as a text pipeview). It is nil by
-// default; attach with Machine.AttachTracer. Recording is bounded: once
-// Max events are held, older completed events are dropped.
+// default; attach with Machine.AttachTracer. Recording is bounded: events
+// live in a ring of Max slots, and once it is full each fetch overwrites
+// the oldest event, whether it retired, was squashed or is still in
+// flight, so the tracer always holds the newest Max fetches.
 type Tracer struct {
 	// Max bounds retained events (0 = 4096).
 	Max int
 
 	events []TraceEvent
-	open   map[uint64]int // FetchID -> index into events
+	oldest int            // slot of the oldest event once the ring is full
+	open   map[uint64]int // FetchID -> slot in events
 }
 
 // TraceEvent is one instruction's lifetime.
@@ -49,40 +52,27 @@ func NewTracer(max int) *Tracer {
 // AttachTracer enables event recording on the machine.
 func (m *Machine) AttachTracer(t *Tracer) { m.tracer = t }
 
-// Events returns the recorded events in fetch order.
-func (t *Tracer) Events() []TraceEvent { return t.events }
-
-func (t *Tracer) fetched(u *uop.Uop, now uint64) {
-	if len(t.events) >= t.Max {
-		// Drop the oldest closed event; if none, stop recording.
-		dropped := false
-		for i := range t.events {
-			if t.events[i].Retired != 0 || t.events[i].Squashed {
-				t.shift(i)
-				dropped = true
-				break
-			}
-		}
-		if !dropped {
-			return
-		}
-	}
-	t.open[u.FetchID] = len(t.events)
-	t.events = append(t.events, TraceEvent{
-		FetchID: u.FetchID, Seq: u.Seq, PC: u.PC, Class: u.SI.Class,
-		WrongPath: u.WrongPath, Coupled: u.Coupled, Fetched: now,
-	})
+// Events returns a copy of the recorded events in fetch order.
+func (t *Tracer) Events() []TraceEvent {
+	out := make([]TraceEvent, 0, len(t.events))
+	out = append(out, t.events[t.oldest:]...)
+	return append(out, t.events[:t.oldest]...)
 }
 
-// shift removes event i, fixing the open map.
-func (t *Tracer) shift(i int) {
-	delete(t.open, t.events[i].FetchID)
-	t.events = append(t.events[:i], t.events[i+1:]...)
-	for fid, idx := range t.open {
-		if idx > i {
-			t.open[fid] = idx - 1
-		}
+func (t *Tracer) fetched(u *uop.Uop, now uint64) {
+	i := len(t.events)
+	if i < t.Max {
+		t.events = append(t.events, TraceEvent{})
+	} else {
+		i = t.oldest
+		delete(t.open, t.events[i].FetchID)
+		t.oldest = (i + 1) % len(t.events)
 	}
+	t.events[i] = TraceEvent{
+		FetchID: u.FetchID, Seq: u.Seq, PC: u.PC, Class: u.SI.Class,
+		WrongPath: u.WrongPath, Coupled: u.Coupled, Fetched: now,
+	}
+	t.open[u.FetchID] = i
 }
 
 func (t *Tracer) mark(fid uint64, f func(*TraceEvent), now uint64) {
@@ -125,7 +115,7 @@ func (t *Tracer) CloseSquashed() {
 //	F = fetched, D = decoded, R = renamed, C = retired, x = squashed
 func (t *Tracer) WritePipeview(w io.Writer, maxRows int) error {
 	t.CloseSquashed()
-	ev := t.events
+	ev := t.Events()
 	if maxRows > 0 && len(ev) > maxRows {
 		ev = ev[len(ev)-maxRows:]
 	}

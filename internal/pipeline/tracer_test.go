@@ -44,6 +44,41 @@ func TestTracerBounded(t *testing.T) {
 	}
 }
 
+// TestTracerKeepsNewestEvents runs a program with a wrong path: squashed
+// wrong-path events never retire, and the bounded tracer must still hold
+// the newest fetches rather than stop recording once they fill it.
+func TestTracerKeepsNewestEvents(t *testing.T) {
+	e, err := workloadLookup("641.leela_s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := MustNew(DefaultConfig(), e.Program())
+	m.Run(20_000)
+	tr := NewTracer(4096)
+	m.AttachTracer(tr)
+	m.Run(200_000)
+
+	evs := tr.Events()
+	if len(evs) != 4096 {
+		t.Fatalf("tracer holds %d events, want 4096", len(evs))
+	}
+	retired := 0
+	for i, ev := range evs {
+		if i > 0 && ev.FetchID <= evs[i-1].FetchID {
+			t.Fatalf("events out of fetch order at %d: %d after %d", i, ev.FetchID, evs[i-1].FetchID)
+		}
+		if ev.Retired != 0 {
+			retired++
+		}
+	}
+	if newest := evs[len(evs)-1].Fetched; newest+1000 < m.Now() {
+		t.Errorf("newest event fetched at cycle %d of %d", newest, m.Now())
+	}
+	if retired == 0 {
+		t.Error("no retired events among the newest fetches")
+	}
+}
+
 func TestPipeviewRenders(t *testing.T) {
 	m := MustNew(DefaultConfig(), straightLine(t, 30))
 	m.Run(2_000)
