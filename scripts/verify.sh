@@ -26,6 +26,11 @@ go run ./cmd/elflint -checks goroleak,closecheck,lockheld,atomicmix ./...
 # findings — a check that stops firing on its own fixture is dead code.
 go run ./cmd/elflint -fixtures internal/lint/testdata/src
 go test ./...
+# Cycle-loop equivalence gates (DESIGN.md §17), named so a hot-loop
+# regression fails with its name in the log: the golden Stats of the
+# registry × golden-config grid and of every other experiment-registry
+# cell, and the steady-state zero-allocation contract.
+go test -count=1 -run 'TestGoldenStatsEquivalence|TestGoldenExperimentCells' ./internal/eval/ && go test -count=1 -run TestSteadyStateZeroAllocs .
 go test -race ./internal/sched/... ./internal/eval/... ./internal/exec/... ./internal/obs/... ./internal/pipeline/... ./internal/store/... ./cmd/elfd/...
 # Observability gates, named so a failure is legible on its own: the
 # federation merge golden (the fleet /metrics view is a wire format) and
