@@ -15,7 +15,10 @@
 // The experiments are figure-6 … figure-9, btb (Section VI-A BTB hit
 // rates), ablate (the design-choice ablations), sweep-faq (FAQ depth) and
 // sweep-depth (BP1→FE depth, the loose-loops experiment). Each one's
-// cells go through the selected backend: with -backend fleet they are
+// cells go through the selected backend. The default, -backend local, is
+// an in-process pool of -parallel workers with a result cache, so a cell
+// that several experiments share (the DCF baseline recurs across Figures
+// 6–9 and the BTB table) is simulated once. With -backend fleet they are
 // sharded across the elfd workers listed in -fleet (each serving
 // POST /v1/cells); the sim core's determinism makes the output
 // byte-identical to local execution, and a dead fleet degrades to local so
@@ -69,12 +72,9 @@ type obsSinks struct {
 }
 
 // buildBackend resolves the -backend/-fleet flags into an execution
-// backend ("" or "local" with no fleet = nil: the eval layer's own
-// in-process pool, byte-identical output and zero new moving parts).
-// needLocal forces a real exec.Local even for -backend local, so the
-// observability sinks have a backend to observe; results stay
-// byte-identical either way.
-func buildBackend(kind, fleet string, parallel int, sinks obsSinks, needLocal bool) (exec.Backend, error) {
+// backend: an exec.Local with parallel workers, or a Fleet over the listed
+// workers with such a Local as its fallback.
+func buildBackend(kind, fleet string, parallel int, sinks obsSinks) (exec.Backend, error) {
 	var addrs []string
 	for _, a := range strings.Split(fleet, ",") {
 		if a = strings.TrimSpace(a); a != "" {
@@ -86,16 +86,13 @@ func buildBackend(kind, fleet string, parallel int, sinks obsSinks, needLocal bo
 		if len(addrs) > 0 {
 			return nil, fmt.Errorf("-fleet is only meaningful with -backend fleet")
 		}
-		if needLocal {
-			return exec.NewLocal(exec.LocalConfig{
-				Workers:  parallel,
-				Metrics:  sinks.metrics,
-				Events:   sinks.events,
-				SlowCell: sinks.slowCell,
-				Store:    sinks.store,
-			}), nil
-		}
-		return nil, nil
+		return exec.NewLocal(exec.LocalConfig{
+			Workers:  parallel,
+			Metrics:  sinks.metrics,
+			Events:   sinks.events,
+			SlowCell: sinks.slowCell,
+			Store:    sinks.store,
+		}), nil
 	case "fleet":
 		if len(addrs) == 0 {
 			return nil, fmt.Errorf("-backend fleet needs -fleet host1,host2,...")
@@ -265,27 +262,23 @@ func main() {
 		sinks.store = d
 		defer d.Close()
 	}
-	needLocal := *metricsOut != "" || *slowCellMS > 0 || sinks.store != nil
-	be, err := buildBackend(*backend, *fleet, *par, sinks, needLocal)
+	be, err := buildBackend(*backend, *fleet, *par, sinks)
 	if err != nil {
 		usage(err)
 	}
-	var root *obs.Span
-	if be != nil {
-		p.Runner = be
-		// One root span per invocation: every fleet dispatch becomes part
-		// of a single stitched trace (DESIGN.md §14).
-		root = sinks.spans.StartSpan(nil, "grid")
-		root.SetAttr("cmd", "elfbench")
-		ctx = obs.ContextWithSpan(ctx, root)
-		defer func() {
-			st := be.Stats()
-			if b, err := json.Marshal(st); err == nil {
-				fmt.Fprintf(os.Stderr, "backend stats: %s\n", b)
-			}
-			be.Close()
-		}()
-	}
+	p.Runner = be
+	// One root span per invocation: every fleet dispatch becomes part of a
+	// single stitched trace (DESIGN.md §14).
+	root := sinks.spans.StartSpan(nil, "grid")
+	root.SetAttr("cmd", "elfbench")
+	ctx = obs.ContextWithSpan(ctx, root)
+	defer func() {
+		st := be.Stats()
+		if b, err := json.Marshal(st); err == nil {
+			fmt.Fprintf(os.Stderr, "backend stats: %s\n", b)
+		}
+		be.Close()
+	}()
 	fmtOut, err := report.ParseFormat(*format)
 	if err != nil {
 		usage(err)
@@ -366,9 +359,7 @@ func main() {
 	if sinks.store != nil && fmtOut == report.Text {
 		printStoreStats(os.Stdout, sinks.store)
 	}
-	if root != nil {
-		root.Finish()
-	}
+	root.Finish()
 	if *spansOut != "" {
 		f, err := os.Create(*spansOut)
 		if err != nil {

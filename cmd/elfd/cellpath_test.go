@@ -28,17 +28,25 @@ func openTestStore(t *testing.T) *store.Disk {
 	return d
 }
 
-// storeWorker serves an elfd worker over st behind httptest.
-func storeWorker(t *testing.T, st store.Store) *httptest.Server {
+// storeServer builds a single-node elfd over st the way cmd/elfd's main
+// wires one.
+func storeServer(t *testing.T, st store.Store) *server {
 	t.Helper()
+	opt := withBackend(t, serverOptions{Store: st})
 	s := sched.New(sched.Config{Workers: 1, QueueDepth: 8})
-	ws := httptest.NewServer(newServer(s, eval.Params{Warmup: 1_000, Measure: 4_000}, serverOptions{Store: st}))
 	t.Cleanup(func() {
-		ws.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		s.Shutdown(ctx)
 	})
+	return newServer(s, eval.Params{Warmup: 1_000, Measure: 4_000}, opt)
+}
+
+// storeWorker serves an elfd worker over st behind httptest.
+func storeWorker(t *testing.T, st store.Store) *httptest.Server {
+	t.Helper()
+	ws := httptest.NewServer(storeServer(t, st))
+	t.Cleanup(ws.Close)
 	return ws
 }
 
@@ -68,9 +76,9 @@ func postCell(t *testing.T, base string, c eval.Cell) eval.Result {
 // exec.Fleet run a cell through the same code: the three return the same
 // Result, and the two stores hold byte-identical values under the same
 // key — the key and encoding the store has always used, so store
-// directories written by earlier builds still answer. A worker whose
-// store already holds a cell answers it from the store without
-// simulating.
+// directories written by earlier builds still answer. An elfd run job of
+// the same workload and variant is that cell too. A worker whose store
+// already holds a cell answers it from the store without simulating.
 func TestOneCellPath(t *testing.T) {
 	ctx := context.Background()
 	c := eval.Cell{
@@ -127,6 +135,42 @@ func TestOneCellPath(t *testing.T) {
 		t.Fatalf("worker store puts = %d, want 1", st.Puts)
 	}
 
+	// A run job stores the same bytes under the same key, and POST
+	// /v1/cells then answers the cell from the scheduler cache.
+	runStore := openTestStore(t)
+	rs := storeServer(t, runStore)
+	rec, _ := doJSON(t, rs, "POST", "/v1/jobs?wait=1",
+		map[string]any{"workload": c.Workload, "variant": "uelf"})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("run job: %d %s", rec.Code, rec.Body.String())
+	}
+	var job struct{ Result eval.Result }
+	if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil {
+		t.Fatal(err)
+	}
+	if job.Result != viaLocal {
+		t.Fatalf("run job returned %+v, want %+v", job.Result, viaLocal)
+	}
+	runBytes, ok, err := runStore.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("run job left nothing under the cell key: ok=%v err=%v", ok, err)
+	}
+	if !bytes.Equal(runBytes, localBytes) {
+		t.Fatalf("run job stored different bytes:\nrun   %s\nlocal %s", runBytes, localBytes)
+	}
+	before := rs.sched.Stats()
+	rec, _ = doJSON(t, rs, "POST", "/v1/cells", c)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /v1/cells after the run job: %d %s", rec.Code, rec.Body.String())
+	}
+	after := rs.sched.Stats()
+	if after.Cache.Hits != before.Cache.Hits+1 || after.Completed != before.Completed {
+		t.Fatalf("cell after the run job was not a cache hit: before %+v after %+v", before, after)
+	}
+	if st := runStore.Stats()[0]; st.Puts != 1 {
+		t.Fatalf("run store puts = %d, want 1", st.Puts)
+	}
+
 	// Store-backed: a worker whose scheduler has run nothing answers from
 	// a pre-filled store, so the planted value comes back verbatim.
 	planted := eval.Result{Workload: c.Workload, Config: c.Config.Name(), IPC: 1.25, Committed: 42}
@@ -143,5 +187,41 @@ func TestOneCellPath(t *testing.T) {
 	}
 	if st := prefilled.Stats()[0]; st.Hits != 1 || st.Puts != 1 {
 		t.Fatalf("prefilled store = %+v, want hits=1 puts=1 (the plant only)", st)
+	}
+}
+
+// TestSingleNodeExperimentWarmRestart pins that a single-node elfd runs an
+// experiment's cells through its Local and so through the store: a second
+// server on the same store directory answers the whole experiment from
+// disk, simulating nothing, with byte-identical JSON.
+func TestSingleNodeExperimentWarmRestart(t *testing.T) {
+	x, err := eval.LookupExperiment("figure-6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func() (string, store.TierStats) {
+		d, err := store.Open(store.DiskConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		rec, _ := doJSON(t, storeServer(t, d), "GET",
+			"/v1/experiments/figure-6?format=json&warmup=1000&insts=4000", nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("figure-6: %d %s", rec.Code, rec.Body.String())
+		}
+		return rec.Body.String(), d.Stats()[0]
+	}
+	cold, st := run()
+	if n := uint64(len(x.Cells)); st.Puts != n {
+		t.Fatalf("cold run stored %d cells, want %d", st.Puts, n)
+	}
+	warm, st := run()
+	if n := uint64(len(x.Cells)); st.Hits != n || st.Puts != 0 {
+		t.Fatalf("warm run: hits=%d puts=%d, want hits=%d puts=0", st.Hits, st.Puts, n)
+	}
+	if warm != cold {
+		t.Fatalf("warm restart changed the answer:\ncold %s\nwarm %s", cold, warm)
 	}
 }

@@ -27,7 +27,15 @@
 //
 // A job's kind is "run" (one workload × one config) or the name of a
 // registered experiment (figure-6 … figure-9, btb, ablate, sweep-faq,
-// sweep-depth); an experiment job's result is {table, cells}.
+// sweep-depth); an experiment job's result is {table, cells}. An untraced
+// run of a registered workload is one evaluation cell, run exactly as
+// POST /v1/cells runs it.
+//
+// Every experiment's cells go through one execution backend: an
+// in-process exec.Local with its own pool of -workers and a -cache entry
+// result cache, so a cell that several experiments share is simulated
+// once. In coordinator mode the backend is the Fleet with that Local as
+// its fallback.
 //
 // Coordinator mode: -fleet http://w1:8080,http://w2:8080 shards every
 // experiment job's cells across the listed elfd workers (each serving
@@ -39,9 +47,10 @@
 //
 // Persistent store: -store-dir DIR keeps cell results on disk, so a
 // restarted elfd answers previously simulated cells without re-running
-// them; -store-max-bytes bounds it. POST /v1/cells consults the store
-// behind the scheduler cache; a coordinator consults it before
-// dispatching. See DESIGN.md §15.
+// them; -store-max-bytes bounds it. POST /v1/cells, run jobs of
+// registered workloads and experiment cells all consult the store behind
+// a scheduler cache; a coordinator consults it before dispatching. See
+// DESIGN.md §15.
 package main
 
 import (
@@ -81,6 +90,42 @@ func openStore(dir string, maxBytes int64, reg *obs.Registry, events *obs.Ring, 
 		return nil, err
 	}
 	return d, nil
+}
+
+// newBackend builds the backend every experiment's cells run through: an
+// exec.Local with its own pool of workers and a cacheSize-entry result
+// cache, or, when addrs lists fleet workers, the Fleet over them with that
+// Local as its fallback. Both share opt's registry, flight recorder, span
+// log and store, and the Local's probe feeds the server's elf_*
+// histograms (NewProbe is idempotent per registry). Closing the backend
+// closes the Local too.
+//
+// The Local keeps its own pool: an experiment job holds one of the
+// server's scheduler workers while its cells run, so queueing them behind
+// it would deadlock at -workers 1. It registers no metrics either: the
+// server's scheduler already registers the sched families on opt.Metrics,
+// and merging a second scheduler's counts into them would make both
+// unreadable.
+func newBackend(opt serverOptions, addrs []string, workers, cacheSize int, slowCell time.Duration) (exec.Backend, error) {
+	local := exec.NewLocal(exec.LocalConfig{Workers: workers, CacheSize: cacheSize,
+		Probe: eval.NewProbe(opt.Metrics), Events: opt.Events, SlowCell: slowCell, Store: opt.Store})
+	if len(addrs) == 0 {
+		return local, nil
+	}
+	f, err := exec.NewFleet(exec.FleetConfig{
+		Workers:  addrs,
+		Fallback: local,
+		Metrics:  opt.Metrics,
+		Spans:    opt.Spans,
+		Events:   opt.Events,
+		SlowCell: slowCell,
+		Store:    opt.Store,
+	})
+	if err != nil {
+		local.Close()
+		return nil, err
+	}
+	return f, nil
 }
 
 // splitFleet parses the -fleet flag into worker base URLs.
@@ -180,34 +225,21 @@ func main() {
 		logger.Info("persistent store", "dir", *storeDir)
 	}
 
-	var backend exec.Backend
-	var fed *obs.Federation
-	if addrs := splitFleet(*fleet); len(addrs) > 0 {
-		// The fallback gets its own private pool and no registry: elfd's
-		// main scheduler already registers the sched metric families on
-		// reg, and merging a second scheduler's counts into them would
-		// make both unreadable.
-		fb := exec.NewLocal(exec.LocalConfig{Workers: *workers, CacheSize: *cacheSize,
-			Events: events, SlowCell: slowCell, Store: st})
-		f, err := exec.NewFleet(exec.FleetConfig{
-			Workers:  addrs,
-			Fallback: fb,
-			Metrics:  reg,
-			Spans:    spans,
-			Events:   events,
-			SlowCell: slowCell,
-			Store:    st,
-		})
-		if err != nil {
-			logger.Error("fleet setup", "err", err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		backend = f
-
+	opt := serverOptions{Metrics: reg, Logger: logger, Pprof: *pprofOn,
+		Events: events, Spans: spans, Store: st}
+	addrs := splitFleet(*fleet)
+	backend, err := newBackend(opt, addrs, *workers, *cacheSize, slowCell)
+	if err != nil {
+		logger.Error("fleet setup", "err", err)
+		os.Exit(2)
+	}
+	defer backend.Close()
+	opt.Backend = backend
+	if len(addrs) > 0 {
 		// Metrics federation: periodically scrape every worker's /metrics
 		// so this coordinator's /metrics serves the merged fleet view.
-		fed = obs.NewFederation(obs.FederationConfig{Workers: addrs, Metrics: reg})
+		fed := obs.NewFederation(obs.FederationConfig{Workers: addrs, Metrics: reg})
+		opt.Federation = fed
 		go func() {
 			fed.Scrape(ctx)
 			t := time.NewTicker(*federateInterval)
@@ -223,16 +255,7 @@ func main() {
 		}()
 		logger.Info("coordinator mode", "fleet", addrs, "federate", *federateInterval)
 	}
-	srv := &http.Server{Addr: *addr, Handler: newServer(s, defaults, serverOptions{
-		Metrics:    reg,
-		Logger:     logger,
-		Pprof:      *pprofOn,
-		Backend:    backend,
-		Events:     events,
-		Spans:      spans,
-		Federation: fed,
-		Store:      st,
-	})}
+	srv := &http.Server{Addr: *addr, Handler: newServer(s, defaults, opt)}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	logger.Info("listening", "addr", *addr, "workers", s.Stats().Workers,

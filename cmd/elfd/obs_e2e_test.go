@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"elfetch/internal/eval"
-	"elfetch/internal/exec"
 	"elfetch/internal/obs"
 	"elfetch/internal/sched"
 )
@@ -22,13 +21,14 @@ import (
 func obsWorker(t *testing.T) *httptest.Server {
 	t.Helper()
 	reg := obs.NewRegistry()
+	opt := withBackend(t, serverOptions{Metrics: reg})
 	s := sched.New(sched.Config{Workers: 4, QueueDepth: 64, Metrics: reg})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		s.Shutdown(ctx)
 	})
-	srv := newServer(s, eval.Params{Warmup: 2_000, Measure: 10_000}, serverOptions{Metrics: reg})
+	srv := newServer(s, eval.Params{Warmup: 2_000, Measure: 10_000}, opt)
 	ws := httptest.NewServer(srv)
 	t.Cleanup(ws.Close)
 	return ws
@@ -39,7 +39,6 @@ func obsWorker(t *testing.T) *httptest.Server {
 // cmd/elfd's main does, and returns the pieces the test asserts on.
 type coordinator struct {
 	srv    *server
-	fleet  *exec.Fleet
 	fed    *obs.Federation
 	spans  *obs.SpanLog
 	events *obs.Ring
@@ -48,34 +47,22 @@ type coordinator struct {
 func newCoordinator(t *testing.T, addrs []string) *coordinator {
 	t.Helper()
 	reg := obs.NewRegistry()
-	spans := obs.NewSpanLog(0)
-	events := obs.NewRing(0)
+	opt := serverOptions{Metrics: reg, Events: obs.NewRing(0), Spans: obs.NewSpanLog(0)}
+	be, err := newBackend(opt, addrs, 0, 0, 0)
+	if err != nil {
+		t.Fatalf("newBackend: %v", err)
+	}
+	t.Cleanup(func() { be.Close() })
+	opt.Backend = be
+	opt.Federation = obs.NewFederation(obs.FederationConfig{Workers: addrs, Metrics: reg})
 	s := sched.New(sched.Config{Workers: 4, QueueDepth: 64, Metrics: reg})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		s.Shutdown(ctx)
 	})
-	f, err := exec.NewFleet(exec.FleetConfig{
-		Workers:  addrs,
-		Fallback: exec.NewLocal(exec.LocalConfig{Events: events}),
-		Metrics:  reg,
-		Spans:    spans,
-		Events:   events,
-	})
-	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
-	}
-	t.Cleanup(func() { f.Close() })
-	fed := obs.NewFederation(obs.FederationConfig{Workers: addrs, Metrics: reg})
-	srv := newServer(s, eval.Params{Warmup: 1_000, Measure: 4_000, Parallel: 4}, serverOptions{
-		Metrics:    reg,
-		Backend:    f,
-		Events:     events,
-		Spans:      spans,
-		Federation: fed,
-	})
-	return &coordinator{srv: srv, fleet: f, fed: fed, spans: spans, events: events}
+	srv := newServer(s, eval.Params{Warmup: 1_000, Measure: 4_000, Parallel: 4}, opt)
+	return &coordinator{srv: srv, fed: opt.Federation, spans: opt.Spans, events: opt.Events}
 }
 
 // figureJobResult runs a figure-6 job to completion through a server's
@@ -113,15 +100,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	}
 	// Single-node baseline. The coordinator must reproduce this payload
 	// byte-for-byte despite sharding, retries and a mid-run worker death.
-	baseline := newServer(func() *sched.Scheduler {
-		s := sched.New(sched.Config{Workers: 4, QueueDepth: 64})
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			s.Shutdown(ctx)
-		})
-		return s
-	}(), eval.Params{Warmup: 1_000, Measure: 4_000, Parallel: 4}, serverOptions{})
+	baseline, _ := testServer(t)
 	local := figureJobResult(t, baseline)
 
 	// Worker 0 dies after serving two cells: subsequent connections are

@@ -45,11 +45,11 @@ type serverOptions struct {
 	Logger *slog.Logger
 	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
-	// Backend, when non-nil, dispatches every experiment's cells through
-	// an execution backend (coordinator mode: a Fleet sharding cells
-	// across remote workers) instead of the in-process pool. Single-cell
-	// jobs and POST /v1/cells always run locally — a worker forwarding
-	// its cells back out would loop.
+	// Backend runs every experiment's cells; it is required. A single
+	// node passes an exec.Local with its own pool, a coordinator the Fleet
+	// over that Local. Run jobs and POST /v1/cells always run on the
+	// server's own scheduler — a worker forwarding its cells back out
+	// would loop.
 	Backend exec.Backend
 	// Events is the flight-recorder ring behind GET /debug/events (nil =
 	// a fresh private ring, so the endpoint always works). Share it with
@@ -64,8 +64,10 @@ type serverOptions struct {
 	// /debug/stats. The caller owns the scrape cadence.
 	Federation *obs.Federation
 	// Store, when non-nil, is the persistent result store: POST /v1/cells
-	// consults it under the cell key before simulating and fills it after.
-	// The caller owns it (closes it on shutdown).
+	// and run jobs of registered workloads consult it under the cell key
+	// before simulating and fill it after (the Backend carries its own
+	// reference for experiment cells). The caller owns it (closes it on
+	// shutdown).
 	Store store.Store
 }
 
@@ -346,9 +348,10 @@ const (
 	maxTraceMax     = 65536
 )
 
-// params resolves the request's run lengths against the server defaults
-// and attaches the server's registry-backed probe, so every simulation's
-// latency/occupancy distributions land on /metrics.
+// params resolves the request's run lengths against the server defaults,
+// attaches the server's registry-backed probe (custom and traced runs
+// simulate in the job itself) and sends experiment cells through the
+// backend.
 func (s *server) params(req *jobRequest) eval.Params {
 	p := s.defaults
 	if req.Warmup != nil {
@@ -358,20 +361,14 @@ func (s *server) params(req *jobRequest) eval.Params {
 		p.Measure = *req.Measure
 	}
 	p.Probe = s.probe
-	if s.backend != nil {
-		p.Runner = s.backend
-	}
+	p.Runner = s.backend
 	return p
 }
 
-// traceGrid starts a grid root span for a coordinator-dispatched
-// experiment, so every cell the backend fans out becomes a child of one
-// trace. Single-node servers (no backend) run untraced — their cells never
-// cross a process boundary. Callers must nil-guard the span.
+// traceGrid starts a grid root span for an experiment, so every cell the
+// backend fans out becomes a child of one trace. Callers must nil-guard
+// the span.
 func (s *server) traceGrid(ctx context.Context, name string) (context.Context, *obs.Span) {
-	if s.backend == nil {
-		return ctx, nil
-	}
 	grid := s.spans.StartSpan(obs.SpanFromContext(ctx), name)
 	if grid == nil {
 		return ctx, nil
@@ -413,9 +410,10 @@ func (s *server) buildJob(req *jobRequest) (label, key string, task sched.Task, 
 }
 
 // buildExperiment assembles a registered experiment's job. Its cells go
-// through the coordinator backend when there is one (p.Runner), so a
-// coordinator shards every experiment — figures, sweeps and ablations
-// alike — across its fleet.
+// through the backend (p.Runner): a single node's Local shares cells
+// between experiments and consults the store, and a coordinator shards
+// every experiment — figures, sweeps and ablations alike — across its
+// fleet.
 func (s *server) buildExperiment(name string, p eval.Params) (label, key string, task sched.Task, err error) {
 	if _, err := eval.LookupExperiment(name); err != nil {
 		return "", "", nil, badRequest("unknown kind %q: want run or an experiment (%s)",
@@ -435,7 +433,10 @@ func (s *server) buildExperiment(name string, p eval.Params) (label, key string,
 	return name, key, task, nil
 }
 
-// buildRun assembles a single (workload, config) measurement job.
+// buildRun assembles a single (workload, config) measurement job. An
+// untraced run of a registered workload is a cell: it is the CellTask job,
+// under the key, store and cache that POST /v1/cells uses. Custom-workload
+// and traced runs simulate in their own task.
 func (s *server) buildRun(req *jobRequest, p eval.Params) (label, key string, task sched.Task, err error) {
 	cfg := pipeline.DefaultConfig()
 	switch {
@@ -450,6 +451,7 @@ func (s *server) buildRun(req *jobRequest, p eval.Params) (label, key string, ta
 		}
 		cfg = cfg.WithVariant(v)
 	}
+	cfgName := cfg.Name()
 
 	var entry *workload.Entry
 	var workloadKey any
@@ -460,6 +462,11 @@ func (s *server) buildRun(req *jobRequest, p eval.Params) (label, key string, ta
 		e, err := workload.Lookup(req.Workload)
 		if err != nil {
 			return "", "", nil, notFound(err)
+		}
+		if !req.Trace {
+			c := eval.Cell{Workload: e.Name, Config: cfg, Warmup: p.Warmup, Measure: p.Measure}
+			label, key, task = exec.CellTask(c, s.store, s.probe, func() { s.countRun(cfgName) })
+			return label, key, task, nil
 		}
 		entry = e
 		workloadKey = e.Name
@@ -480,8 +487,7 @@ func (s *server) buildRun(req *jobRequest, p eval.Params) (label, key string, ta
 		return "", "", nil, badRequest("a run needs workload or workloadJSON")
 	}
 
-	label = fmt.Sprintf("run %s/%s", entry.Name, cfg.Name())
-	cfgName := cfg.Name()
+	label = fmt.Sprintf("run %s/%s", entry.Name, cfgName)
 	if req.Trace {
 		traceMax := req.TraceMax
 		switch {
@@ -529,13 +535,13 @@ type runResult struct {
 
 // handleCell executes one evaluation cell synchronously — the fleet
 // worker endpoint internal/exec.Fleet dispatches to. The cell runs on this
-// server's scheduler through exec.SubmitCell, the one cell path exec.Local
-// also takes: the same content address, the persistent store behind the
-// scheduler cache, repeats answered from cache and identical cells
-// coalesced in flight. This handler only decodes, validates and maps the
-// outcome onto the error envelope. Cells always run on this worker's own
-// pool, never through the coordinator backend — a worker forwarding its
-// cells back out would loop.
+// server's scheduler as an exec.CellTask job, the one cell path exec.Local
+// and run jobs also take: the same content address, the persistent store
+// behind the scheduler cache, repeats answered from cache and identical
+// cells coalesced in flight. This handler only decodes, validates and maps
+// the outcome onto the error envelope. Cells always run on this worker's
+// own pool, never through the backend — a worker forwarding its cells back
+// out would loop.
 func (s *server) handleCell(w http.ResponseWriter, r *http.Request) {
 	var c eval.Cell
 	dec := json.NewDecoder(r.Body)
@@ -553,7 +559,7 @@ func (s *server) handleCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfgName := c.Config.Name()
-	j, err := exec.SubmitCell(s.sched, c, s.store, s.probe, func() { s.countRun(cfgName) })
+	j, err := s.sched.Submit(exec.CellTask(c, s.store, s.probe, func() { s.countRun(cfgName) }))
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -803,8 +809,8 @@ type statsResponse struct {
 	CacheHitRate  float64          `json:"cacheHitRate"`
 	Scheduler     sched.Stats      `json:"scheduler"`
 	VariantRuns   map[string]int64 `json:"variantRuns"`
-	// Exec carries the coordinator backend's dispatch counters when the
-	// server shards matrix cells across a fleet.
+	// Exec carries the backend's counters: the Local's pool and cache on
+	// a single node, the fleet's dispatch ledger on a coordinator.
 	Exec *exec.Stats `json:"exec,omitempty"`
 	// Federation carries the per-worker scrape breakdown when the server
 	// federates worker metrics.
@@ -835,10 +841,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			resp.VariantRuns[kv.Key] = v.Value()
 		}
 	})
-	if s.backend != nil {
-		es := s.backend.Stats()
-		resp.Exec = &es
-	}
+	es := s.backend.Stats()
+	resp.Exec = &es
 	if s.fed != nil {
 		resp.Federation = s.fed.Summary()
 	}

@@ -12,20 +12,40 @@ import (
 	"time"
 
 	"elfetch/internal/eval"
+	"elfetch/internal/obs"
 	"elfetch/internal/sched"
 )
+
+// withBackend sets opt.Backend to the single-node backend cmd/elfd's main
+// builds for opt (a Local with two workers), closed at cleanup. Call it
+// before starting the server's scheduler, so the backend closes after the
+// scheduler has drained the experiment jobs that use it.
+func withBackend(t *testing.T, opt serverOptions) serverOptions {
+	t.Helper()
+	if opt.Metrics == nil {
+		opt.Metrics = obs.NewRegistry()
+	}
+	be, err := newBackend(opt, nil, 2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { be.Close() })
+	opt.Backend = be
+	return opt
+}
 
 // testServer builds a server over a fresh scheduler with tiny default run
 // lengths so handler tests stay fast.
 func testServer(t *testing.T) (*server, *sched.Scheduler) {
 	t.Helper()
+	opt := withBackend(t, serverOptions{})
 	s := sched.New(sched.Config{Workers: 4, QueueDepth: 64})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		s.Shutdown(ctx)
 	})
-	return newServer(s, eval.Params{Warmup: 2_000, Measure: 10_000}, serverOptions{}), s
+	return newServer(s, eval.Params{Warmup: 2_000, Measure: 10_000}, opt), s
 }
 
 func doJSON(t *testing.T, h http.Handler, method, target string, body any) (*httptest.ResponseRecorder, map[string]any) {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	elfsim -workload 641.leela_s -front uelf -insts 1000000
-//	elfsim -workload server1_subtest_1 -front dcf -v
+//	elfsim -workload server1_subtest_1 -compare
 //	elfsim -workload 641.leela_s -front uelf -probe -trace-out trace.json
 //	elfsim -workload 641.leela_s -front uelf -backend fleet -fleet http://w1:8080
 //
@@ -78,22 +78,24 @@ func main() {
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "persistent store quota in bytes (0 = 1 GiB)")
 	flag.Parse()
 
-	if *backend == "fleet" {
-		runFleet(*wl, *front, *warmup, *insts, *fleet, *metricsOut, *storeDir, *storeMaxBytes,
-			*compare, *profile != "", *probeOn, *traceOut != "")
-		return
+	fleetMode := *backend == "fleet"
+	if !fleetMode {
+		if *backend != "" && *backend != "local" {
+			fmt.Fprintf(os.Stderr, "unknown backend %q (want local or fleet)\n", *backend)
+			os.Exit(2)
+		}
+		if *fleet != "" {
+			fmt.Fprintln(os.Stderr, "-fleet is only meaningful with -backend fleet")
+			os.Exit(2)
+		}
 	}
-	if *backend != "" && *backend != "local" {
-		fmt.Fprintf(os.Stderr, "unknown backend %q (want local or fleet)\n", *backend)
-		os.Exit(2)
-	}
-	if *fleet != "" {
-		fmt.Fprintln(os.Stderr, "-fleet is only meaningful with -backend fleet")
-		os.Exit(2)
-	}
-	if *storeDir != "" {
-		runStored(*wl, *front, *warmup, *insts, *storeDir, *storeMaxBytes, *metricsOut,
-			*compare, *profile != "", *probeOn, *traceOut != "")
+	if fleetMode || *storeDir != "" {
+		mode := "-store-dir"
+		if fleetMode {
+			mode = "-backend fleet"
+		}
+		rejectIntrospection(mode, *compare, *profile != "", *probeOn, *traceOut != "")
+		runBackend(*wl, *front, *warmup, *insts, fleetMode, *fleet, *metricsOut, *storeDir, *storeMaxBytes)
 		return
 	}
 
@@ -265,8 +267,8 @@ func rejectIntrospection(mode string, compare, profile, probe, trace bool) {
 	}
 }
 
-// printResultSummary renders the wire-format Result lines shared by the
-// fleet and stored-run paths.
+// printResultSummary renders the wire-format Result lines of a backend
+// run.
 func printResultSummary(r eval.Result) {
 	fmt.Printf("insts     %d committed in %d cycles\n", r.Committed, r.Cycles)
 	fmt.Printf("IPC       %.4f\n", r.IPC)
@@ -292,71 +294,23 @@ func openStore(dir string, maxBytes int64, reg *obs.Registry, events *obs.Ring) 
 	return d
 }
 
-// runStored runs one cell through a store-backed local backend: a cell
-// already in the store is answered from disk without simulating (only
-// the Result summary can be printed — there is no in-process machine to
-// introspect on a hit).
-func runStored(wl, front string, warmup, insts uint64, dir string, maxBytes int64,
-	metricsOut string, compare, profile, probe, trace bool) {
-	rejectIntrospection("-store-dir", compare, profile, probe, trace)
-	cfg, err := frontConfig(front)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	reg := obs.NewRegistry()
-	events := obs.NewRing(0)
-	st := openStore(dir, maxBytes, reg, events)
-	defer st.Close()
-	be := exec.NewLocal(exec.LocalConfig{Metrics: reg, Events: events, Store: st})
-	defer be.Close()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	start := time.Now()
-	r, err := be.Run(ctx, eval.Cell{Workload: wl, Config: cfg, Warmup: warmup, Measure: insts})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		dumpEvents(events)
-		os.Exit(1)
-	}
-	ts := st.Stats()[0]
-	fmt.Printf("workload  %s (%s)\n", r.Workload, r.Suite)
-	fmt.Printf("frontend  %s\n", r.Config)
-	source := "simulated, stored for next time"
-	if ts.Hits > 0 {
-		source = "answered from store"
-	}
-	fmt.Printf("backend   local+store (%s: %s, %d entries) in %.1fs\n",
-		source, dir, ts.Entries, time.Since(start).Seconds())
-	printResultSummary(r)
-	if metricsOut != "" {
-		if err := writeMetricsFile(metricsOut, reg); err != nil {
-			fmt.Fprintln(os.Stderr, "metrics-out:", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// runFleet dispatches one cell to a remote elfd worker and prints the
-// Result summary. Introspection flags are rejected: they need the
-// machine in this process, and only the Result travels back over the
-// wire. With -store-dir the cell is first looked up in (and afterwards
-// stored to) the local persistent store.
-func runFleet(wl, front string, warmup, insts uint64, fleet, metricsOut, storeDir string,
-	storeMaxBytes int64, compare, profile, probe, trace bool) {
+// runBackend runs one cell through an execution backend and prints the
+// Result summary: a Local pool behind the -store-dir store, or in fleet
+// mode a Fleet of remote elfd workers with that Local as its fallback. A
+// stored cell is answered from disk without simulating.
+func runBackend(wl, front string, warmup, insts uint64, fleetMode bool, fleet, metricsOut,
+	storeDir string, storeMaxBytes int64) {
 	usage := func(msg string) {
 		fmt.Fprintln(os.Stderr, msg)
 		os.Exit(2)
 	}
-	rejectIntrospection("-backend fleet", compare, profile, probe, trace)
 	var addrs []string
 	for _, a := range strings.Split(fleet, ",") {
 		if a = strings.TrimSpace(a); a != "" {
 			addrs = append(addrs, a)
 		}
 	}
-	if len(addrs) == 0 {
+	if fleetMode && len(addrs) == 0 {
 		usage("-backend fleet needs -fleet host1,host2,...")
 	}
 	cfg, err := frontConfig(front)
@@ -365,48 +319,69 @@ func runFleet(wl, front string, warmup, insts uint64, fleet, metricsOut, storeDi
 	}
 	reg := obs.NewRegistry()
 	events := obs.NewRing(0)
-	var pstore store.Store
+	var pstore store.Store // nil without -store-dir
 	if storeDir != "" {
 		d := openStore(storeDir, storeMaxBytes, reg, events)
 		defer d.Close()
 		pstore = d
 	}
-	f, err := exec.NewFleet(exec.FleetConfig{
-		Workers:  addrs,
-		Fallback: exec.NewLocal(exec.LocalConfig{Events: events, Store: pstore}),
-		Metrics:  reg,
-		Events:   events,
-		Store:    pstore,
-	})
-	if err != nil {
-		usage(err.Error())
-	}
-	defer f.Close()
-	flush := func() {
-		if metricsOut != "" {
-			if err := writeMetricsFile(metricsOut, reg); err != nil {
-				fmt.Fprintln(os.Stderr, "metrics-out:", err)
-			}
+	local := exec.NewLocal(exec.LocalConfig{Metrics: reg, Events: events, Store: pstore})
+	var be exec.Backend = local
+	if fleetMode {
+		f, err := exec.NewFleet(exec.FleetConfig{
+			Workers:  addrs,
+			Fallback: local,
+			Metrics:  reg,
+			Events:   events,
+			Store:    pstore,
+		})
+		if err != nil {
+			usage(err.Error())
 		}
+		be = f
+	}
+	defer be.Close()
+	// flush writes -metrics-out, reporting whether that failed.
+	flush := func() bool {
+		if metricsOut == "" {
+			return false
+		}
+		err := writeMetricsFile(metricsOut, reg)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "metrics-out:", err)
+		}
+		return err != nil
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	start := time.Now()
-	r, err := f.Run(ctx, eval.Cell{Workload: wl, Config: cfg, Warmup: warmup, Measure: insts})
+	r, err := be.Run(ctx, eval.Cell{Workload: wl, Config: cfg, Warmup: warmup, Measure: insts})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		dumpEvents(events)
 		flush()
 		os.Exit(1)
 	}
-	defer flush()
-	st := f.Stats()
 	fmt.Printf("workload  %s (%s)\n", r.Workload, r.Suite)
 	fmt.Printf("frontend  %s\n", r.Config)
-	fmt.Printf("backend   fleet (%d workers, %d via fallback) in %.1fs\n",
-		len(st.Workers), st.Fallback, time.Since(start).Seconds())
+	if fleetMode {
+		st := be.Stats()
+		fmt.Printf("backend   fleet (%d workers, %d via fallback) in %.1fs\n",
+			len(st.Workers), st.Fallback, time.Since(start).Seconds())
+	} else {
+		ts := pstore.Stats()[0]
+		source := "simulated, stored for next time"
+		if ts.Hits > 0 {
+			source = "answered from store"
+		}
+		fmt.Printf("backend   local+store (%s: %s, %d entries) in %.1fs\n",
+			source, storeDir, ts.Entries, time.Since(start).Seconds())
+	}
 	printResultSummary(r)
+	if flush() {
+		os.Exit(1)
+	}
 }
 
 // printProbe renders the measurement-window distributions the probe

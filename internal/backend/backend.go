@@ -128,9 +128,6 @@ type Backend struct {
 	// entry at commitLimit (and younger) may not retire this cycle.
 	commitLimit uint64
 
-	// Trace enables debug prints (tests only).
-	Trace bool
-
 	// Stats.
 	Committed       uint64
 	ForwardedLoads  uint64
@@ -426,9 +423,6 @@ func (b *Backend) checkStoreOrderViolation(store *robEntry) {
 }
 
 func (b *Backend) raiseBranchResolution(e *robEntry) {
-	if b.Trace {
-		println("RAISE resolution id", e.id, "fid", e.u.FetchID, "pc", uint64(e.u.PC))
-	}
 	kind := uop.FlushBranch
 	if e.u.SI.Class.IsIndirect() || (e.u.PredTaken && e.u.ActTaken && e.u.PredTarget != e.u.ActTarget) {
 		kind = uop.FlushTarget
@@ -539,13 +533,6 @@ func (b *Backend) Commit(now uint64) {
 		if e.state != stDone {
 			return
 		}
-		if b.Trace && !e.u.WrongPath {
-			for i := 0; i < b.pendingResolutions.Len(); i++ {
-				if r := b.pendingResolutions.At(i); r.ID == e.id {
-					println("COMMIT-PENDING id", e.id, "fid", e.u.FetchID, "kind", int(r.Kind))
-				}
-			}
-		}
 		if e.u.SI.Class.IsMemory() {
 			b.lsqCount--
 		}
@@ -581,9 +568,6 @@ func (b *Backend) OldestResolution() *Resolution {
 		r := b.pendingResolutions.Front()
 		e := b.slot(r.ID)
 		if r.ID < b.robHead || e.id != r.ID || e.u.FetchID != r.FetchID {
-			if b.Trace {
-				println("DROP resolution id", r.ID, "fid", r.FetchID, "head", b.robHead)
-			}
 			b.pendingResolutions.PopFront()
 			continue
 		}

@@ -39,17 +39,18 @@ func saveResult(st store.Store, key string, r eval.Result) {
 	}
 }
 
-// SubmitCell queues c on s under cellKey(c), labelled "cell WORKLOAD/CONFIG".
-// The scheduler answers a cached cell without running anything and
-// coalesces identical cells in flight. The task itself consults st (when
-// non-nil) before simulating — a stored result decodes without simulating
-// and the scheduler still promotes it into its cache — and writes a fresh
-// simulation back. probe is attached to the machine after warmup; ran,
-// when non-nil, is called once per fresh simulation (never for a store
-// hit). The caller waits on the returned job and maps its outcome.
-func SubmitCell(s *sched.Scheduler, c eval.Cell, st store.Store, probe *pipeline.Probe, ran func()) (*sched.Job, error) {
-	key := cellKey(c)
-	return s.Submit("cell "+c.Workload+"/"+c.Config.Name(), key, func(ctx context.Context) (any, error) {
+// CellTask returns the scheduler job that runs c: its label
+// "cell WORKLOAD/CONFIG", its key cellKey(c) and the store-behind-cache
+// task. Submitted to a sched.Scheduler, a cached cell is answered without
+// running anything and identical cells coalesce in flight. The task itself
+// consults st (when non-nil) before simulating — a stored result decodes
+// without simulating and the scheduler still promotes it into its cache —
+// and writes a fresh simulation back. probe is attached to the machine
+// after warmup; ran, when non-nil, is called once per fresh simulation
+// (never for a store hit).
+func CellTask(c eval.Cell, st store.Store, probe *pipeline.Probe, ran func()) (label, key string, task sched.Task) {
+	key = cellKey(c)
+	return "cell " + c.Workload + "/" + c.Config.Name(), key, func(ctx context.Context) (any, error) {
 		if st != nil {
 			if r, ok := loadResult(st, key); ok {
 				return r, nil
@@ -66,5 +67,5 @@ func SubmitCell(s *sched.Scheduler, c eval.Cell, st store.Store, probe *pipeline
 			ran()
 		}
 		return r, nil
-	})
+	}
 }

@@ -14,10 +14,10 @@
 //
 // This package is also the only owner of how one cell runs against the
 // scheduler cache and the persistent store: the cell key, the
-// store-behind-cache task (SubmitCell, which Local and elfd's
-// POST /v1/cells both submit to their scheduler) and the encoding of a
-// stored eval.Result (JSON; an undecodable value is a miss), which Fleet
-// also uses around its dispatch.
+// store-behind-cache task (CellTask, which Local, elfd's POST /v1/cells
+// and elfd's run jobs of registered workloads submit to their scheduler)
+// and the encoding of a stored eval.Result (JSON; an undecodable value is
+// a miss), which Fleet also uses around its dispatch.
 //
 // The sim core is deterministic (enforced by elflint and the runtime
 // determinism tests), so a cell produces bit-identical Results no matter

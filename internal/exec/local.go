@@ -43,8 +43,8 @@ type LocalConfig struct {
 	Store store.Store
 }
 
-// Local is the in-process Backend: cells run on a sched worker pool
-// through SubmitCell, so identical cells coalesce in flight and are
+// Local is the in-process Backend: cells run on a sched worker pool as
+// CellTask jobs, so identical cells coalesce in flight and are
 // answered from the content-addressed result cache (and the store, when
 // one is attached) afterwards. It is behaviourally identical to the eval
 // layer's in-process runner — same RunCell, same determinism — plus the
@@ -93,7 +93,7 @@ func (l *Local) Run(ctx context.Context, c eval.Cell) (eval.Result, error) {
 	cellName := c.Workload + "/" + c.Config.Name()
 	trace := traceOf(obs.SpanFromContext(ctx))
 	start := time.Now()
-	j, err := SubmitCell(l.sched, c, l.store, l.probe, nil)
+	j, err := l.sched.Submit(CellTask(c, l.store, l.probe, nil))
 	if err != nil {
 		l.failed.Add(1)
 		l.record(obs.Event{Kind: obs.EventError, Worker: "local", Cell: cellName,

@@ -88,11 +88,7 @@ func TestDebugWedgeHunt(t *testing.T) {
 			debugWedge(t, MustNew(cfg, tinyLoop(t)), 50_000)
 		})
 		t.Run("chaotic/"+name, func(t *testing.T) {
-			m := MustNew(cfg, chaoticProgram(t))
-			if name == "L-ELF" {
-				m.Debug = true
-			}
-			debugWedge(t, m, 50_000)
+			debugWedge(t, MustNew(cfg, chaoticProgram(t)), 50_000)
 		})
 	}
 }
@@ -102,9 +98,7 @@ func TestDebugLeelaUELF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := MustNew(DefaultConfig().WithVariant(core.UELF), e.Program())
-	m.EnableTrace()
-	debugWedge(t, m, 120_000)
+	debugWedge(t, MustNew(DefaultConfig().WithVariant(core.UELF), e.Program()), 120_000)
 }
 
 func TestDebugFigureSetWedgeHunt(t *testing.T) {

@@ -232,9 +232,6 @@ func (m *Machine) decodeDCFMode(now uint64, u *uop.Uop) bool {
 // end, resteer BP1 — and, for elastic variants, enter coupled mode at the
 // resolved target (Section IV-A).
 func (m *Machine) misfetchResteer(now uint64, u *uop.Uop, target isa.Addr) {
-	if m.Debug {
-		println("cyc", now, "MISFETCH pc", uint64(u.PC), "class", u.SI.Class.String(), "target", uint64(target), "wrong", u.WrongPath)
-	}
 	m.Stats.DecodeResteers++
 	m.Stats.Flushes[uop.FlushFrontend]++
 	if target != 0 {
@@ -308,9 +305,6 @@ func (m *Machine) decodeElfCoupled(now uint64, u *uop.Uop) bool {
 		m.frontRedirect(u, target, at)
 		return true
 	case core.Stall:
-		if m.Debug {
-			println("cyc", now, "STALL pc", uint64(u.PC), "seq", u.Seq, "wrong", u.WrongPath)
-		}
 		// Hold the instruction at decode until the DCF resolves the
 		// decision (it is released by adoptStalledDecision, or dies
 		// with the period on a flush).
@@ -324,9 +318,6 @@ func (m *Machine) decodeElfCoupled(now uint64, u *uop.Uop) bool {
 		// in-flight groups, and the binding rewinds so the successor
 		// refetches once the DCF takes over.
 		if !u.WrongPath {
-			if m.Debug {
-				println("cyc", now, "STALL-BIND seq", u.Seq+1)
-			}
 			m.fetchSeq = u.Seq + 1
 			m.onWrongPath = false
 		}

@@ -71,9 +71,6 @@ func (m *Machine) countFAQHead(now uint64) {
 		m.popHead()
 		m.markCheckpointsBound()
 	case core.ResyncSwitch:
-		if m.Debug {
-			println("cyc", now, "SWITCH keep", keep, "head", uint64(head.Start))
-		}
 		m.applySwitch(head, keep)
 	case core.ResyncPrepare:
 		// FAQ has caught up: stop initiating coupled fetches so decode
@@ -250,9 +247,6 @@ func (m *Machine) verifyUncondChecks(head *frontend.FAQBlock) bool {
 		if !ok {
 			// The DCF does not know this branch (BTB miss): fetcher
 			// wins — flush the DCF and restart it past the branch.
-			if m.Debug {
-				println("UNCOND-CHECK fail idx", chk.idx, "target", uint64(chk.target))
-			}
 			m.faq.Clear()
 			m.faqOffset = 0
 			m.headProcessed = false
@@ -270,9 +264,6 @@ func (m *Machine) verifyUncondChecks(head *frontend.FAQBlock) bool {
 
 // applyDivergence applies the Section IV-C2 winner rules.
 func (m *Machine) applyDivergence(now uint64, div core.Divergence) {
-	if m.Debug {
-		println("cyc", now, "DIVERGE", div.Kind.String(), "idx", div.InstIdx, "winner", int(div.Winner))
-	}
 	if div.Winner == core.WinFetcher {
 		m.applyFetcherWin(div)
 		return
@@ -380,9 +371,6 @@ func (m *Machine) applyDCFWin(now uint64, div core.Divergence) {
 
 	// Rewind the oracle binding to the diverging instruction's successor.
 	if bindOK {
-		if m.Debug {
-			println("cyc", now, "DCFWIN-BIND seq", bindSeq, "next", uint64(next))
-		}
 		m.fetchSeq = bindSeq
 		m.onWrongPath = false
 	}

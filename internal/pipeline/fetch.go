@@ -60,9 +60,8 @@ func (m *Machine) fetchCoupled(now uint64) {
 	var lines [2]isa.Addr
 	nLines := 0
 	for i := 0; i < m.cfg.FetchWidth; i++ {
-		u := m.newUop(g, pc)
+		m.newUop(g, pc, elastic)
 		if elastic {
-			u.Coupled = true
 			m.elf.OnCoupledFetch(1)
 			m.Stats.CoupledFetched++
 		}
@@ -125,7 +124,7 @@ func (m *Machine) fetchDecoupled(now uint64) {
 			break
 		}
 		pc := head.Start.Plus(m.faqOffset)
-		u := m.newUop(g, pc)
+		u := m.newUop(g, pc, false)
 		u.FromSeqMiss = head.SeqMiss
 		m.bindBlockBranch(u, head, m.faqOffset)
 		addLine(pc)

@@ -35,9 +35,6 @@ func (m *Machine) handleResolutions(now uint64) {
 			wait = !bound && !atHead
 		}
 		if wait {
-			if m.Debug && m.Stats.CkptDeferredCycles%50 == 0 {
-				println("cyc", now, "DEFER flush id", r.ID, "head", m.be.HeadID())
-			}
 			m.Stats.CkptDeferredCycles++
 			m.be.DeferredFlushes++
 			// The deferred instruction must not retire before its
@@ -50,9 +47,6 @@ func (m *Machine) handleResolutions(now uint64) {
 	m.Stats.Flushes[r.Kind]++
 	m.probeFlush(now)
 	m.btbBuilder.ForceBoundary(r.RefetchPC)
-	if m.Debug {
-		println("cyc", now, "FLUSH", r.Kind.String(), "pc", uint64(u.PC), "refetch", uint64(r.RefetchPC), "seq", r.RefetchSeq)
-	}
 	// Squash: memory-order violations refetch the load itself; branch
 	// mispredictions keep the branch and squash younger.
 	boundary := r.ID + 1

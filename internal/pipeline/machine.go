@@ -141,9 +141,6 @@ type Machine struct {
 	// Stats is the run's metric sink.
 	Stats Stats
 
-	// Debug enables event tracing to stdout (tests only).
-	Debug bool
-
 	// tracer, when attached, records per-instruction pipeline events.
 	tracer *Tracer
 
@@ -156,12 +153,6 @@ type Machine struct {
 	coupledEnterAt uint64
 	drainStartAt   uint64
 	drainArmed     bool
-}
-
-// EnableTrace turns on backend tracing too.
-func (m *Machine) EnableTrace() {
-	m.Debug = true
-	m.be.Trace = true
 }
 
 // New builds a machine for the program under the given configuration.
@@ -364,9 +355,6 @@ func (m *Machine) watchdog(now uint64) {
 	}
 	m.idleCycles = 0
 	m.quietCycles = 0
-	if m.Debug {
-		println("cyc", now, "WATCHDOG fire; wrongPath", m.onWrongPath, "halted", m.fetchHalted, "stalled", m.coupledStalled, "mode coupled:", m.inCoupledMode(), "fetchSeq", m.fetchSeq, "fetchPC", uint64(m.fetchPC))
-	}
 	m.Stats.WatchdogRecoveries++
 	seq := uint64(0)
 	if m.haveRetired {
@@ -432,15 +420,16 @@ func (m *Machine) rename(now uint64) {
 }
 
 // newUop materialises the instruction at pc in the next slot of fetch group
-// g, binding it to the oracle when on the correct path. The slot is where
-// the uop is written; decode copies it on to renameQ.
-func (m *Machine) newUop(g *fetchGroup, pc isa.Addr) *uop.Uop {
+// g, binding it to the oracle when on the correct path; coupled marks an
+// ELF coupled-mode fetch. The slot is where the uop is written; decode
+// copies it on to renameQ.
+func (m *Machine) newUop(g *fetchGroup, pc isa.Addr, coupled bool) *uop.Uop {
 	n := len(g.uops)
 	g.uops = g.uops[:n+1]
 	u := &g.uops[n]
 	*u = uop.Uop{}
 	m.fetchID++
-	u.FetchID, u.PC, u.CoupledIdx = m.fetchID, pc, -1
+	u.FetchID, u.PC, u.CoupledIdx, u.Coupled = m.fetchID, pc, -1, coupled
 
 	if !m.onWrongPath {
 		d := m.stream.Get(m.fetchSeq)
@@ -456,9 +445,6 @@ func (m *Machine) newUop(g *fetchGroup, pc isa.Addr) *uop.Uop {
 				m.tracer.fetched(u, m.now)
 			}
 			return u
-		}
-		if m.Debug {
-			println("cyc", m.now, "WRONGPATH start pc", uint64(pc), "oracle seq", m.fetchSeq, "oraclePC", uint64(d.PC))
 		}
 		m.onWrongPath = true
 	}
@@ -482,9 +468,6 @@ func (m *Machine) newUop(g *fetchGroup, pc isa.Addr) *uop.Uop {
 
 // resteerFetchTo repoints the oracle binding and the coupled fetch PC.
 func (m *Machine) resteerFetchTo(seq uint64, pc isa.Addr, at uint64) {
-	if m.Debug {
-		println("cyc", m.now, "RESTEER-BIND seq", seq, "pc", uint64(pc))
-	}
 	m.fetchSeq = seq
 	m.onWrongPath = false
 	m.fetchPC = pc

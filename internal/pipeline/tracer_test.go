@@ -2,8 +2,11 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"elfetch/internal/core"
 )
 
 func TestTracerRecordsLifecycle(t *testing.T) {
@@ -76,6 +79,51 @@ func TestTracerKeepsNewestEvents(t *testing.T) {
 	}
 	if retired == 0 {
 		t.Error("no retired events among the newest fetches")
+	}
+}
+
+// TestTracerMarksCoupledFetches runs 641.leela_s under U-ELF, which
+// fetches in coupled mode after flushes: the trace must flag those fetches,
+// and the Chrome export must tag them coupled.
+func TestTracerMarksCoupledFetches(t *testing.T) {
+	e, err := workloadLookup("641.leela_s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := MustNew(DefaultConfig().WithVariant(core.UELF), e.Program())
+	m.Run(20_000)
+	tr := NewTracer(65536)
+	m.AttachTracer(tr)
+	st := m.Run(50_000)
+	if st.CoupledFetched == 0 {
+		t.Fatal("U-ELF run fetched nothing in coupled mode")
+	}
+	coupled := 0
+	for _, ev := range tr.Events() {
+		if ev.Coupled {
+			coupled++
+		}
+	}
+	if coupled == 0 || uint64(coupled) > st.CoupledFetched {
+		t.Fatalf("%d coupled trace events for %d coupled fetches", coupled, st.CoupledFetched)
+	}
+
+	var buf bytes.Buffer
+	if err := tr.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out chromeTrace
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	tagged := 0
+	for _, ce := range out.TraceEvents {
+		if ce.Cat == "coupled" && ce.Args["coupled"] == true {
+			tagged++
+		}
+	}
+	if tagged == 0 {
+		t.Error("Chrome trace has no slice tagged coupled")
 	}
 }
 

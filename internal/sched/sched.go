@@ -71,37 +71,47 @@ type Job struct {
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu        sync.Mutex
-	state     State
-	cached    bool
-	result    any
-	err       error
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
+	mu         sync.Mutex
+	state      State
+	submitters int // Submit calls holding the job; see Wait
+	cached     bool
+	result     any
+	err        error
+	submitted  time.Time
+	started    time.Time
+	finished   time.Time
 }
 
 // ID returns the job's scheduler-assigned identifier.
 func (j *Job) ID() string { return j.id }
 
-// Wait blocks until the job reaches a terminal state or ctx is done. It
-// cancels the job when its own wait context expires, which is how elfd
-// propagates a client abort into the simulation: the caller waits with the
-// HTTP request context, the client hangs up, the job cancels.
+// Wait blocks until the job reaches a terminal state or ctx is done. A
+// caller whose ctx ends first gives up its submission, and the job is
+// cancelled once no submitter is left. That is how elfd propagates a client
+// abort into the simulation: the caller waits with the HTTP request
+// context, the client hangs up, the job cancels — unless another client's
+// identical submission coalesced onto it and still wants the result. Each
+// submission gives up at most once: call Wait once per Submit.
 func (j *Job) Wait(ctx context.Context) (JobStatus, error) {
 	select {
 	case <-j.done:
 		return j.Status(), nil
 	case <-ctx.Done():
-		j.Cancel()
+		j.mu.Lock()
+		j.submitters--
+		last := j.submitters <= 0
+		j.mu.Unlock()
+		if last {
+			j.Cancel()
+		}
 		return j.Status(), ctx.Err()
 	}
 }
 
 // Cancel aborts the job. A queued job never runs; a running job's context
 // is cancelled and it finishes as Canceled. Cancelling a terminal job is a
-// no-op. Note a coalesced job is shared: cancelling it cancels it for
-// every submitter.
+// no-op. Note a coalesced job is shared: Cancel cancels it for every
+// submitter (Wait, by contrast, only gives up the caller's submission).
 func (j *Job) Cancel() {
 	j.cancel()
 	j.mu.Lock()
@@ -310,7 +320,8 @@ func New(cfg Config) *Scheduler {
 // Submit queues a task. key content-addresses the job ("" = uncacheable):
 // a completed key is answered from cache without running anything (the
 // returned job is born Done with Cached set), and a key already queued or
-// running coalesces onto the in-flight job, which is returned as-is.
+// running coalesces onto the in-flight job, which is returned as-is and
+// counts one more submitter (see Wait).
 func (s *Scheduler) Submit(label, key string, task Task) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -333,7 +344,12 @@ func (s *Scheduler) Submit(label, key string, task Task) (*Job, error) {
 		if s.met != nil {
 			s.met.cacheMiss.Inc()
 		}
-		if infl, ok := s.inflight[key]; ok {
+		// A cancelled job stays in flight until its task returns; a new
+		// submission must not inherit that cancellation.
+		if infl, ok := s.inflight[key]; ok && infl.ctx.Err() == nil {
+			infl.mu.Lock()
+			infl.submitters++
+			infl.mu.Unlock()
 			s.coalesced++
 			if s.met != nil {
 				s.met.coalesced.Inc()
@@ -367,14 +383,15 @@ func (s *Scheduler) newJobLocked(label, key string) *Job {
 	s.seq++
 	ctx, cancel := context.WithCancel(s.base)
 	j := &Job{
-		id:        fmt.Sprintf("j%06d", s.seq),
-		key:       key,
-		label:     label,
-		ctx:       ctx,
-		cancel:    cancel,
-		done:      make(chan struct{}),
-		state:     Queued,
-		submitted: time.Now(),
+		id:         fmt.Sprintf("j%06d", s.seq),
+		key:        key,
+		label:      label,
+		ctx:        ctx,
+		cancel:     cancel,
+		done:       make(chan struct{}),
+		state:      Queued,
+		submitters: 1,
+		submitted:  time.Now(),
 	}
 	s.jobs[j.id] = j
 	return j

@@ -290,6 +290,102 @@ func TestInflightCoalescing(t *testing.T) {
 	}
 }
 
+// TestWaiterGivingUpKeepsCoalescedJob pins that a coalesced job survives
+// one of its submitters giving up: the job is cancelled only when the last
+// waiting submitter's context ends.
+func TestWaiterGivingUpKeepsCoalescedJob(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+
+	release := make(chan struct{})
+	task := func(ctx context.Context) (any, error) {
+		select {
+		case <-release:
+			return "v", nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	key := Key("shared")
+	first, err := s.Submit("first", key, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := s.Submit("second", key, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Fatal("identical in-flight submissions should coalesce onto one job")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := first.Wait(ctx); err == nil {
+		t.Fatal("first waiter's Wait returned before its deadline")
+	}
+	close(release)
+	if st := waitDone(t, second); st.State != Done || st.Result != "v" {
+		t.Fatalf("one waiter giving up ended the job for the other: %+v", st)
+	}
+
+	// The last submitter giving up still cancels the job.
+	last, err := s.Submit("last", Key("alone"), func(ctx context.Context) (any, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, stop := context.WithCancel(context.Background())
+	stop()
+	last.Wait(gone)
+	if st := waitDone(t, last); st.State != Canceled {
+		t.Fatalf("sole waiter gave up, job state = %s, want canceled", st.State)
+	}
+}
+
+// TestSubmitDoesNotJoinCanceledJob pins that a submission arriving while a
+// cancelled job's task is still returning gets a fresh job instead of
+// inheriting the cancellation.
+func TestSubmitDoesNotJoinCanceledJob(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Shutdown(context.Background())
+
+	started := make(chan struct{}, 1)
+	linger := make(chan struct{})
+	release := sync.OnceFunc(func() { close(linger) })
+	defer release() // before Shutdown, which waits for the task
+	key := Key("linger")
+	dying, err := s.Submit("dying", key, func(ctx context.Context) (any, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		<-linger // still in flight after the cancel
+		return nil, ctx.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	dying.Cancel()
+	fresh, err := s.Submit("fresh", key, func(ctx context.Context) (any, error) { return "v", nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh == dying {
+		t.Fatal("new submission joined a cancelled job")
+	}
+	if st := waitDone(t, fresh); st.State != Done || st.Result != "v" {
+		t.Fatalf("fresh job: %+v", st)
+	}
+	release()
+	if st := waitDone(t, dying); st.State != Canceled {
+		t.Fatalf("cancelled job state = %s", st.State)
+	}
+	if st, err := s.Submit("cached", key, nil); err != nil || !st.Status().Cached {
+		t.Fatalf("the fresh result was not cached: %v", err)
+	}
+}
+
 func TestQueueFull(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1})
 	defer s.Shutdown(context.Background())

@@ -45,6 +45,11 @@ go test -race -count=1 -run TestFleetObservabilityE2E ./cmd/elfd/
 # race-checked.
 go test -race -count=1 -run TestWarmRestartE2E ./internal/exec/
 go test -race -count=1 -run TestOneCellPath ./cmd/elfd/
+# One cell path for every command, race-checked: a coalesced job survives one
+# of its waiters giving up, a single-node elfd's experiments and run jobs
+# reach the store, and one exec.Local running the whole experiment registry
+# simulates each distinct cell once, matching the in-process results.
+go test -race -count=1 -run 'TestWaiterGivingUpKeepsCoalescedJob|TestSubmitDoesNotJoinCanceledJob|TestSingleNodeExperimentWarmRestart|TestOneCellPath|TestOneLocalRunsEveryExperiment' ./internal/sched/ ./cmd/elfd/ ./internal/exec/
 go test -race -count=1 -run 'TestDiskTruncatedTailTolerated|TestDiskCorruptTailChecksum' ./internal/store/
 # Concurrency-hygiene gates (DESIGN.md §16): fleet Close must stop its
 # health-prober goroutines, and the fleet dispatch path must drain
