@@ -29,7 +29,7 @@ func benchIPC(b *testing.B, name string, cfg pipeline.Config) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := eval.RunOne(context.Background(), e, cfg, eval.Params{Warmup: benchWarmup, Measure: benchMeasure})
+	r, err := eval.RunOne(context.Background(), e, cfg, eval.Params{Warmup: benchWarmup, Measure: benchMeasure}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -120,11 +120,11 @@ func BenchmarkFigure8(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					d, err := eval.RunOne(context.Background(), e, base, eval.Params{Warmup: benchWarmup, Measure: benchMeasure})
+					d, err := eval.RunOne(context.Background(), e, base, eval.Params{Warmup: benchWarmup, Measure: benchMeasure}, nil)
 					if err != nil {
 						b.Fatal(err)
 					}
-					r, err := eval.RunOne(context.Background(), e, cfg, eval.Params{Warmup: benchWarmup, Measure: benchMeasure})
+					r, err := eval.RunOne(context.Background(), e, cfg, eval.Params{Warmup: benchWarmup, Measure: benchMeasure}, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

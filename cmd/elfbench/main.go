@@ -10,19 +10,19 @@
 //	elfbench -list                        # Table I (workloads)
 //	elfbench -config                      # Table II (machine configuration)
 //	elfbench -warmup 200000 -insts 800000 -exp figure-9 -format csv
-//	elfbench -backend fleet -fleet http://w1:8080,http://w2:8080 -exp figure-6
+//	elfbench -fleet http://w1:8080,http://w2:8080 -exp figure-6
 //
 // The experiments are figure-6 … figure-9, btb (Section VI-A BTB hit
 // rates), ablate (the design-choice ablations), sweep-faq (FAQ depth) and
 // sweep-depth (BP1→FE depth, the loose-loops experiment). Each one's
-// cells go through the selected backend. The default, -backend local, is
-// an in-process pool of -parallel workers with a result cache, so a cell
-// that several experiments share (the DCF baseline recurs across Figures
-// 6–9 and the BTB table) is simulated once. With -backend fleet they are
-// sharded across the elfd workers listed in -fleet (each serving
-// POST /v1/cells); the sim core's determinism makes the output
-// byte-identical to local execution, and a dead fleet degrades to local so
-// the run still completes.
+// cells go through one backend. By default it is an in-process pool of
+// -parallel workers with a result cache, so a cell that several
+// experiments share (the DCF baseline recurs across Figures 6–9 and the
+// BTB table) is simulated once. A non-empty -fleet shards them across the
+// listed elfd workers instead (each serving POST /v1/cells); the sim
+// core's determinism makes the output byte-identical to local execution,
+// and a dead fleet degrades to local so the run still completes. -hist
+// measures its one machine in process, through eval.Measure.
 //
 // Observability (DESIGN.md §14): -metrics-out dumps the run's metric
 // registry in Prometheus text format, -spans-out writes the distributed
@@ -71,21 +71,11 @@ type obsSinks struct {
 	store    store.Store
 }
 
-// buildBackend resolves the -backend/-fleet flags into an execution
-// backend: an exec.Local with parallel workers, or a Fleet over the listed
-// workers with such a Local as its fallback.
-func buildBackend(kind, fleet string, parallel int, sinks obsSinks) (exec.Backend, error) {
-	var addrs []string
-	for _, a := range strings.Split(fleet, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	switch kind {
-	case "", "local":
-		if len(addrs) > 0 {
-			return nil, fmt.Errorf("-fleet is only meaningful with -backend fleet")
-		}
+// buildBackend resolves the -fleet flag into an execution backend: an
+// exec.Local with parallel workers, or, when addrs lists fleet workers, a
+// Fleet over them with such a Local as its fallback.
+func buildBackend(addrs []string, parallel int, sinks obsSinks) (exec.Backend, error) {
+	if len(addrs) == 0 {
 		return exec.NewLocal(exec.LocalConfig{
 			Workers:  parallel,
 			Metrics:  sinks.metrics,
@@ -93,35 +83,17 @@ func buildBackend(kind, fleet string, parallel int, sinks obsSinks) (exec.Backen
 			SlowCell: sinks.slowCell,
 			Store:    sinks.store,
 		}), nil
-	case "fleet":
-		if len(addrs) == 0 {
-			return nil, fmt.Errorf("-backend fleet needs -fleet host1,host2,...")
-		}
-		return exec.NewFleet(exec.FleetConfig{
-			Workers: addrs,
-			Fallback: exec.NewLocal(exec.LocalConfig{Workers: parallel,
-				Events: sinks.events, SlowCell: sinks.slowCell, Store: sinks.store}),
-			Metrics:  sinks.metrics,
-			Spans:    sinks.spans,
-			Events:   sinks.events,
-			SlowCell: sinks.slowCell,
-			Store:    sinks.store,
-		})
 	}
-	return nil, fmt.Errorf("unknown backend %q (want local or fleet)", kind)
-}
-
-// dumpEvents writes the flight-recorder tail to stderr so a failed or
-// interrupted run leaves a post-mortem trail.
-func dumpEvents(events *obs.Ring) {
-	if events == nil || events.Total() == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "flight recorder (%d events recorded, oldest first):\n", events.Total())
-	if err := events.WriteJSON(os.Stderr, 0); err != nil {
-		fmt.Fprintln(os.Stderr, "flight recorder dump:", err)
-	}
-	fmt.Fprintln(os.Stderr)
+	return exec.NewFleet(exec.FleetConfig{
+		Workers: addrs,
+		Fallback: exec.NewLocal(exec.LocalConfig{Workers: parallel,
+			Events: sinks.events, SlowCell: sinks.slowCell, Store: sinks.store}),
+		Metrics:  sinks.metrics,
+		Spans:    sinks.spans,
+		Events:   sinks.events,
+		SlowCell: sinks.slowCell,
+		Store:    sinks.store,
+	})
 }
 
 // printStoreStats reports the persistent store's per-tier counters after
@@ -139,32 +111,18 @@ func printStoreStats(w io.Writer, st store.Store) {
 	}
 }
 
-// writeMetricsFile dumps the registry in Prometheus text format.
-func writeMetricsFile(path string, reg *obs.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WritePrometheus(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() {
 	exps := flag.String("exp", "", "experiments to run, comma-separated, or all: "+strings.Join(eval.ExperimentNames(), ", "))
 	list := flag.Bool("list", false, "print Table I (workload registry)")
 	config := flag.Bool("config", false, "print Table II (machine configuration)")
 	hist := flag.String("hist", "", "print the coupled-period histogram for WORKLOAD:VARIANT (e.g. 641.leela_s:uelf)")
 	format := flag.String("format", "text", "output format for -exp: text|csv|json")
-	warmup := flag.Uint64("warmup", 200_000, "warmup instructions per run")
-	insts := flag.Uint64("insts", 800_000, "measured instructions per run")
+	warmup := flag.Uint64("warmup", eval.DefaultParams().Warmup, "warmup instructions per run")
+	insts := flag.Uint64("insts", eval.DefaultParams().Measure, "measured instructions per run")
 	par := flag.Int("parallel", 0, "parallel runs (0 = GOMAXPROCS)")
-	backend := flag.String("backend", "local", "execution backend: local or fleet")
-	fleet := flag.String("fleet", "", "comma-separated elfd worker base URLs (with -backend fleet)")
+	fleet := flag.String("fleet", "", "comma-separated elfd worker base URLs; a non-empty list shards cells across them (fleet mode)")
 	metricsOut := flag.String("metrics-out", "", "write the final metric registry to this file (Prometheus text format)")
-	spansOut := flag.String("spans-out", "", "write the fleet run's span log to this file as JSON (needs -backend fleet; render with elfview -spans)")
+	spansOut := flag.String("spans-out", "", "write the fleet run's span log to this file as JSON (needs -fleet; render with elfview -spans)")
 	slowCellMS := flag.Int("slow-cell-ms", 0, "record a slow_cell flight-recorder event for cells slower than this (0 = off)")
 	storeDir := flag.String("store-dir", "", "persistent result store directory (empty = no store); a rerun answers stored cells without re-simulating")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "persistent store quota in bytes (0 = 1 GiB); compaction evicts oldest entries beyond it")
@@ -225,7 +183,7 @@ func main() {
 	sinks.spans.Seed(uint64(time.Now().UnixNano()))
 	flush := func() {
 		if *metricsOut != "" {
-			if err := writeMetricsFile(*metricsOut, sinks.metrics); err != nil {
+			if err := sinks.metrics.WriteFile(*metricsOut); err != nil {
 				fmt.Fprintln(os.Stderr, "metrics-out:", err)
 			}
 		}
@@ -234,7 +192,7 @@ func main() {
 	}
 	fatal := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
-		dumpEvents(sinks.events)
+		sinks.events.Dump(os.Stderr)
 		flush()
 		os.Exit(1)
 	}
@@ -246,8 +204,9 @@ func main() {
 		usage(err)
 	}
 
-	if *spansOut != "" && *backend != "fleet" {
-		usage(fmt.Errorf("-spans-out needs -backend fleet (only fleet dispatch records spans)"))
+	addrs := exec.SplitWorkers(*fleet)
+	if *spansOut != "" && len(addrs) == 0 {
+		usage(fmt.Errorf("-spans-out needs -fleet (only fleet dispatch records spans)"))
 	}
 	if *storeDir != "" {
 		d, err := store.Open(store.DiskConfig{
@@ -262,7 +221,7 @@ func main() {
 		sinks.store = d
 		defer d.Close()
 	}
-	be, err := buildBackend(*backend, *fleet, *par, sinks)
+	be, err := buildBackend(addrs, *par, sinks)
 	if err != nil {
 		usage(err)
 	}

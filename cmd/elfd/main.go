@@ -128,17 +128,6 @@ func newBackend(opt serverOptions, addrs []string, workers, cacheSize int, slowC
 	return f, nil
 }
 
-// splitFleet parses the -fleet flag into worker base URLs.
-func splitFleet(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // buildLogger assembles the process logger from the CLI flags.
 func buildLogger(level, format string) (*slog.Logger, error) {
 	var lv slog.Level
@@ -166,12 +155,12 @@ func buildLogger(level, format string) (*slog.Logger, error) {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "simulation workers (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "workers per scheduler pool (0 = GOMAXPROCS); jobs and experiment cells have separate pools, so up to 2N-1 simulations can run at once")
 	queue := flag.Int("queue", 128, "max queued jobs before submits fail fast")
 	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-job runtime ceiling (0 = none)")
 	cacheSize := flag.Int("cache", 512, "result cache entries")
-	warmup := flag.Uint64("warmup", 200_000, "default warmup instructions per run")
-	insts := flag.Uint64("insts", 800_000, "default measured instructions per run")
+	warmup := flag.Uint64("warmup", eval.DefaultParams().Warmup, "default warmup instructions per run")
+	insts := flag.Uint64("insts", eval.DefaultParams().Measure, "default measured instructions per run")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	pprofOn := flag.Bool("pprof", false, "serve Go profiling under /debug/pprof/")
@@ -227,7 +216,7 @@ func main() {
 
 	opt := serverOptions{Metrics: reg, Logger: logger, Pprof: *pprofOn,
 		Events: events, Spans: spans, Store: st}
-	addrs := splitFleet(*fleet)
+	addrs := exec.SplitWorkers(*fleet)
 	backend, err := newBackend(opt, addrs, *workers, *cacheSize, slowCell)
 	if err != nil {
 		logger.Error("fleet setup", "err", err)

@@ -217,22 +217,8 @@ func (s *server) countRun(name string) {
 		obs.L("config", name)).Inc()
 }
 
-// Error-envelope codes. The fleet backend (internal/exec) classifies
-// failures by these: "sim_failed" and any 4xx are permanent (the sim is
-// deterministic, retrying elsewhere cannot help); the rest are
-// infrastructure trouble worth retrying on another worker.
-const (
-	codeBadRequest   = "bad_request"
-	codeNotFound     = "not_found"
-	codeConflict     = "conflict"
-	codeCanceled     = "canceled"
-	codeQueueFull    = "queue_full"
-	codeShuttingDown = "shutting_down"
-	codeSimFailed    = "sim_failed"
-	codeInternal     = "internal"
-)
-
-// httpError is an error with an HTTP status and an envelope code.
+// httpError is an error with an HTTP status and an envelope code (one of
+// the exec.Code* constants, which the fleet backend classifies failures by).
 type httpError struct {
 	status int
 	code   string
@@ -244,32 +230,15 @@ func (e *httpError) Error() string { return e.err.Error() }
 func (e *httpError) Unwrap() error { return e.err }
 
 func badRequest(format string, args ...any) *httpError {
-	return &httpError{status: http.StatusBadRequest, code: codeBadRequest, err: fmt.Errorf(format, args...)}
+	return &httpError{status: http.StatusBadRequest, code: exec.CodeBadRequest, err: fmt.Errorf(format, args...)}
 }
 
 func notFound(err error) *httpError {
-	return &httpError{status: http.StatusNotFound, code: codeNotFound, err: err}
+	return &httpError{status: http.StatusNotFound, code: exec.CodeNotFound, err: err}
 }
 
 func conflict(err error) *httpError {
-	return &httpError{status: http.StatusConflict, code: codeConflict, err: err}
-}
-
-// errorEnvelope is the uniform /v1 error body:
-// {"error":{"code","message","detail"}}. Code is a stable machine-
-// readable identifier, message the human-readable cause, detail optional
-// context (which sub-system, what limit).
-type errorEnvelope struct {
-	Error errorBody `json:"error"`
-}
-
-type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	Detail  string `json:"detail,omitempty"`
-	// Trace echoes the requester's trace id (from `traceparent`), so an
-	// error a coordinator logs can be joined to the worker's view of it.
-	Trace string `json:"trace,omitempty"`
+	return &httpError{status: http.StatusConflict, code: exec.CodeConflict, err: err}
 }
 
 // writeErr renders any error as the JSON error envelope, classifying
@@ -277,29 +246,29 @@ type errorBody struct {
 // trace id, when one was carried, is echoed in the envelope.
 func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 	status := http.StatusInternalServerError
-	code := codeInternal
+	code := exec.CodeInternal
 	detail := ""
 	var he *httpError
 	switch {
 	case errors.As(err, &he):
 		status, code, detail = he.status, he.code, he.detail
 		if code == "" {
-			code = codeInternal
+			code = exec.CodeInternal
 		}
 	case errors.Is(err, sched.ErrQueueFull):
-		status, code = http.StatusServiceUnavailable, codeQueueFull
+		status, code = http.StatusServiceUnavailable, exec.CodeQueueFull
 		detail = "the job queue is at capacity; retry with backoff"
 	case errors.Is(err, sched.ErrShutdown):
-		status, code = http.StatusServiceUnavailable, codeShuttingDown
+		status, code = http.StatusServiceUnavailable, exec.CodeShuttingDown
 		detail = "the server is draining; submit to another worker"
 	case errors.Is(err, context.Canceled):
-		status, code = http.StatusConflict, codeCanceled
+		status, code = http.StatusConflict, exec.CodeCanceled
 	}
 	trace := ""
 	if tr, _, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
 		trace = tr.String()
 	}
-	writeJSON(w, status, errorEnvelope{Error: errorBody{
+	writeJSON(w, status, exec.ErrorEnvelope{Error: exec.ErrorBody{
 		Code: code, Message: err.Error(), Detail: detail, Trace: trace,
 	}})
 }
@@ -436,7 +405,8 @@ func (s *server) buildExperiment(name string, p eval.Params) (label, key string,
 // buildRun assembles a single (workload, config) measurement job. An
 // untraced run of a registered workload is a cell: it is the CellTask job,
 // under the key, store and cache that POST /v1/cells uses. Custom-workload
-// and traced runs simulate in their own task.
+// and traced runs share one task, which measures in the job itself; only a
+// traced run attaches a tracer, and its payload is a runResult.
 func (s *server) buildRun(req *jobRequest, p eval.Params) (label, key string, task sched.Task, err error) {
 	cfg := pipeline.DefaultConfig()
 	switch {
@@ -488,8 +458,9 @@ func (s *server) buildRun(req *jobRequest, p eval.Params) (label, key string, ta
 	}
 
 	label = fmt.Sprintf("run %s/%s", entry.Name, cfgName)
+	traceMax := 0 // no tracer
 	if req.Trace {
-		traceMax := req.TraceMax
+		traceMax = req.TraceMax
 		switch {
 		case traceMax < 0 || traceMax > maxTraceMax:
 			return "", "", nil, badRequest("traceMax %d out of [0, %d]", traceMax, maxTraceMax)
@@ -498,28 +469,28 @@ func (s *server) buildRun(req *jobRequest, p eval.Params) (label, key string, ta
 		}
 		label += " +trace"
 		key = sched.Key("run-trace", cfg, workloadKey, p.Warmup, p.Measure, traceMax)
-		task = func(ctx context.Context) (any, error) {
-			r, tr, err := eval.RunOneTraced(ctx, entry, cfg, p, traceMax)
-			if err != nil {
-				return nil, err
-			}
+	} else {
+		key = sched.Key("run", cfg, workloadKey, p.Warmup, p.Measure)
+	}
+	task = func(ctx context.Context) (any, error) {
+		var tr *pipeline.Tracer
+		if traceMax > 0 {
+			tr = pipeline.NewTracer(traceMax)
+		}
+		r, err := eval.RunOne(ctx, entry, cfg, p, tr)
+		if err != nil {
+			return nil, err
+		}
+		var payload any = r
+		if tr != nil {
 			var buf strings.Builder
 			if err := tr.WriteChromeTrace(&buf); err != nil {
 				return nil, err
 			}
-			s.countRun(cfgName)
-			return runResult{Result: r, TraceJSON: []byte(buf.String())}, nil
-		}
-		return label, key, task, nil
-	}
-	key = sched.Key("run", cfg, workloadKey, p.Warmup, p.Measure)
-	task = func(ctx context.Context) (any, error) {
-		r, err := eval.RunOne(ctx, entry, cfg, p)
-		if err != nil {
-			return nil, err
+			payload = runResult{Result: r, TraceJSON: []byte(buf.String())}
 		}
 		s.countRun(cfgName)
-		return r, nil
+		return payload, nil
 	}
 	return label, key, task, nil
 }
@@ -577,11 +548,11 @@ func (s *server) handleCell(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, res)
 	case sched.Canceled:
-		writeErr(w, r, &httpError{status: http.StatusConflict, code: codeCanceled,
+		writeErr(w, r, &httpError{status: http.StatusConflict, code: exec.CodeCanceled,
 			err: fmt.Errorf("cell canceled: %s", st.Error)})
 	default:
 		// Deterministic sim: this cell fails identically on any worker.
-		writeErr(w, r, &httpError{status: http.StatusInternalServerError, code: codeSimFailed,
+		writeErr(w, r, &httpError{status: http.StatusInternalServerError, code: exec.CodeSimFailed,
 			err: fmt.Errorf("cell failed: %s", st.Error)})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -445,8 +446,20 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("traced run: %d %s", rec.Code, rec.Body.String())
 	}
 	id, _ := st["id"].(string)
-	if result, _ := st["result"].(map[string]any); result["traceJSON"] != nil || result["TraceJSON"] != nil {
+	traced, _ := st["result"].(map[string]any)
+	if traced["traceJSON"] != nil || traced["TraceJSON"] != nil {
 		t.Error("trace payload leaked into the job status JSON")
+	}
+
+	// Tracing observes the run without perturbing it: the traced result
+	// equals the untraced run's for the same workload and variant.
+	rec, plain := doJSON(t, srv, "POST", "/v1/jobs?wait=1",
+		map[string]any{"workload": "641.leela_s", "variant": "uelf"})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("untraced uelf run: %d %s", rec.Code, rec.Body.String())
+	}
+	if untraced, _ := plain["result"].(map[string]any); len(traced) == 0 || !reflect.DeepEqual(traced, untraced) {
+		t.Errorf("traced result differs from the untraced run:\n traced   %v\n untraced %v", traced, untraced)
 	}
 
 	rec, _ = doJSON(t, srv, "GET", "/v1/jobs/"+id+"/trace", nil)

@@ -7,13 +7,14 @@
 //	elfsim -workload 641.leela_s -front uelf -insts 1000000
 //	elfsim -workload server1_subtest_1 -compare
 //	elfsim -workload 641.leela_s -front uelf -probe -trace-out trace.json
-//	elfsim -workload 641.leela_s -front uelf -backend fleet -fleet http://w1:8080
+//	elfsim -workload 641.leela_s -front uelf -fleet http://w1:8080
 //
-// With -backend fleet the measurement runs on a remote elfd worker
-// (POST /v1/cells); the deterministic sim core makes the numbers
-// identical to a local run. Machine-introspection flags (-compare,
-// -probe, -trace-out, -profile) need the machine in-process and are
-// rejected in fleet mode.
+// An in-process run (the default, -compare, -probe, -trace-out) is
+// eval.Measure: warm up, reset the counters, measure. A non-empty -fleet
+// runs the measurement on a remote elfd worker instead (POST /v1/cells);
+// the deterministic sim core makes the numbers identical to a local run.
+// Machine-introspection flags (-compare, -probe, -trace-out, -profile)
+// need the machine in-process and are rejected in fleet mode.
 //
 // -metrics-out dumps the run's metric registry (probe distributions
 // locally, dispatch metrics in fleet mode) in Prometheus text format;
@@ -32,7 +33,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"elfetch/internal/btb"
@@ -47,18 +47,11 @@ import (
 	"elfetch/internal/workload"
 )
 
-// frontConfig maps a -front name to its configuration: "nodcf" is the
-// coupled baseline, anything else an ELF variant name (core.ParseVariant).
-func frontConfig(name string) (pipeline.Config, error) {
-	base := pipeline.DefaultConfig()
-	if strings.EqualFold(name, "nodcf") {
-		return base.NoDCF(), nil
-	}
-	v, err := core.ParseVariant(name)
-	if err != nil {
-		return base, err
-	}
-	return base.WithVariant(v), nil
+// die prints msg to stderr and exits with code: 2 for a usage error, 1
+// for a failed run.
+func die(code int, msg any) {
+	fmt.Fprintln(os.Stderr, msg)
+	os.Exit(code)
 }
 
 func main() {
@@ -71,31 +64,25 @@ func main() {
 	probeOn := flag.Bool("probe", false, "collect and print front-end latency/occupancy distributions")
 	traceOut := flag.String("trace-out", "", "write Chrome trace JSON of the measured window to this file (view in Perfetto)")
 	traceMax := flag.Int("trace-max", 4096, "max instruction events recorded for -trace-out")
-	backend := flag.String("backend", "local", "execution backend: local or fleet")
-	fleet := flag.String("fleet", "", "comma-separated elfd worker base URLs (with -backend fleet)")
+	fleet := flag.String("fleet", "", "comma-separated elfd worker base URLs; a non-empty list runs the cell on them (fleet mode)")
 	metricsOut := flag.String("metrics-out", "", "write the final metric registry to this file (Prometheus text format)")
 	storeDir := flag.String("store-dir", "", "persistent result store directory (empty = no store); a stored cell is answered without re-simulating")
 	storeMaxBytes := flag.Int64("store-max-bytes", 0, "persistent store quota in bytes (0 = 1 GiB)")
 	flag.Parse()
 
-	fleetMode := *backend == "fleet"
-	if !fleetMode {
-		if *backend != "" && *backend != "local" {
-			fmt.Fprintf(os.Stderr, "unknown backend %q (want local or fleet)\n", *backend)
-			os.Exit(2)
-		}
-		if *fleet != "" {
-			fmt.Fprintln(os.Stderr, "-fleet is only meaningful with -backend fleet")
-			os.Exit(2)
-		}
+	p := eval.Params{Warmup: *warmup, Measure: *insts}
+	if err := p.Validate(); err != nil {
+		die(2, err)
 	}
-	if fleetMode || *storeDir != "" {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if addrs := exec.SplitWorkers(*fleet); len(addrs) > 0 || *storeDir != "" {
 		mode := "-store-dir"
-		if fleetMode {
-			mode = "-backend fleet"
+		if len(addrs) > 0 {
+			mode = "-fleet"
 		}
 		rejectIntrospection(mode, *compare, *profile != "", *probeOn, *traceOut != "")
-		runBackend(*wl, *front, *warmup, *insts, fleetMode, *fleet, *metricsOut, *storeDir, *storeMaxBytes)
+		runBackend(ctx, *wl, *front, p, addrs, *metricsOut, *storeDir, *storeMaxBytes)
 		return
 	}
 
@@ -103,54 +90,47 @@ func main() {
 	if *profile != "" {
 		f, err := os.Open(*profile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			die(2, err)
 		}
 		name, prog, err := workload.FromJSON(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			die(2, err)
 		}
 		e = workload.Custom(name, prog)
 	} else {
 		var err error
-		e, err = workload.Lookup(*wl)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if e, err = workload.Lookup(*wl); err != nil {
+			die(2, err)
 		}
 	}
 	if *compare {
-		compareFronts(e, *warmup, *insts)
+		compareFronts(ctx, e, p)
 		return
 	}
-	cfg, err := frontConfig(*front)
+	cfg, err := pipeline.ParseFront(*front)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		die(2, err)
 	}
 
-	m := pipeline.MustNew(cfg, e.Program())
-	start := time.Now()
-	if *warmup > 0 {
-		m.Run(*warmup)
-		m.ResetStats()
-	}
 	var reg *obs.Registry
 	if *probeOn || *metricsOut != "" {
 		// -metrics-out without -probe still attaches the probe: the dump is
 		// only useful with the distributions populated.
 		reg = obs.NewRegistry()
-		m.AttachProbe(eval.NewProbe(reg))
+		p.Probe = eval.NewProbe(reg)
 	}
 	var tr *pipeline.Tracer
 	if *traceOut != "" {
 		tr = pipeline.NewTracer(*traceMax)
-		m.AttachTracer(tr)
 	}
-	st := m.Run(*insts)
+	start := time.Now()
+	m, err := eval.Measure(ctx, e.Program(), cfg, p, tr)
+	if err != nil {
+		die(1, err)
+	}
 	wall := time.Since(start)
+	st := &m.Stats
 
 	fmt.Printf("workload  %s (%s)\n", e.Name, e.Suite)
 	fmt.Printf("frontend  %s\n", cfg.Name())
@@ -197,73 +177,39 @@ func main() {
 		printProbe(reg, m, cfg)
 	}
 	if *metricsOut != "" {
-		if err := writeMetricsFile(*metricsOut, reg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := reg.WriteFile(*metricsOut); err != nil {
+			die(1, err)
 		}
 	}
 	if tr != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			die(1, err)
 		}
 		if err := tr.WriteChromeTrace(f); err != nil {
 			f.Close()
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			die(1, err)
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			die(1, err)
 		}
 		fmt.Printf("\ntrace     %s (load in https://ui.perfetto.dev or chrome://tracing)\n", *traceOut)
 	}
-}
-
-// writeMetricsFile dumps the registry in Prometheus text format.
-func writeMetricsFile(path string, reg *obs.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WritePrometheus(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// dumpEvents writes the flight-recorder tail to stderr so a failed or
-// interrupted run leaves a post-mortem trail.
-func dumpEvents(events *obs.Ring) {
-	if events == nil || events.Total() == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "flight recorder (%d events recorded, oldest first):\n", events.Total())
-	if err := events.WriteJSON(os.Stderr, 0); err != nil {
-		fmt.Fprintln(os.Stderr, "flight recorder dump:", err)
-	}
-	fmt.Fprintln(os.Stderr)
 }
 
 // rejectIntrospection fails fast on flags that need the machine in this
 // process: the backend paths only carry an eval.Result (and a stored hit
 // never builds a machine at all).
 func rejectIntrospection(mode string, compare, profile, probe, trace bool) {
-	usage := func(msg string) {
-		fmt.Fprintln(os.Stderr, msg)
-		os.Exit(2)
-	}
 	switch {
 	case compare:
-		usage("-compare needs the machine in-process; drop " + mode)
+		die(2, "-compare needs the machine in-process; drop "+mode)
 	case profile:
-		usage("-profile workloads are not content-addressed by registry name; drop " + mode)
+		die(2, "-profile workloads are not content-addressed by registry name; drop "+mode)
 	case probe:
-		usage("-probe needs the machine in-process; drop " + mode)
+		die(2, "-probe needs the machine in-process; drop "+mode)
 	case trace:
-		usage("-trace-out needs the machine in-process; drop " + mode)
+		die(2, "-trace-out needs the machine in-process; drop "+mode)
 	}
 }
 
@@ -288,34 +234,20 @@ func openStore(dir string, maxBytes int64, reg *obs.Registry, events *obs.Ring) 
 	d, err := store.Open(store.DiskConfig{Dir: dir, MaxBytes: maxBytes,
 		Metrics: reg, Events: events})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		die(1, err)
 	}
 	return d
 }
 
 // runBackend runs one cell through an execution backend and prints the
-// Result summary: a Local pool behind the -store-dir store, or in fleet
-// mode a Fleet of remote elfd workers with that Local as its fallback. A
-// stored cell is answered from disk without simulating.
-func runBackend(wl, front string, warmup, insts uint64, fleetMode bool, fleet, metricsOut,
+// Result summary: a Local pool behind the -store-dir store, or, when addrs
+// lists fleet workers, a Fleet over them with that Local as its fallback.
+// A stored cell is answered from disk without simulating.
+func runBackend(ctx context.Context, wl, front string, p eval.Params, addrs []string, metricsOut,
 	storeDir string, storeMaxBytes int64) {
-	usage := func(msg string) {
-		fmt.Fprintln(os.Stderr, msg)
-		os.Exit(2)
-	}
-	var addrs []string
-	for _, a := range strings.Split(fleet, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	if fleetMode && len(addrs) == 0 {
-		usage("-backend fleet needs -fleet host1,host2,...")
-	}
-	cfg, err := frontConfig(front)
+	cfg, err := pipeline.ParseFront(front)
 	if err != nil {
-		usage(err.Error())
+		die(2, err)
 	}
 	reg := obs.NewRegistry()
 	events := obs.NewRing(0)
@@ -327,7 +259,7 @@ func runBackend(wl, front string, warmup, insts uint64, fleetMode bool, fleet, m
 	}
 	local := exec.NewLocal(exec.LocalConfig{Metrics: reg, Events: events, Store: pstore})
 	var be exec.Backend = local
-	if fleetMode {
+	if len(addrs) > 0 {
 		f, err := exec.NewFleet(exec.FleetConfig{
 			Workers:  addrs,
 			Fallback: local,
@@ -336,7 +268,7 @@ func runBackend(wl, front string, warmup, insts uint64, fleetMode bool, fleet, m
 			Store:    pstore,
 		})
 		if err != nil {
-			usage(err.Error())
+			die(2, err)
 		}
 		be = f
 	}
@@ -346,26 +278,24 @@ func runBackend(wl, front string, warmup, insts uint64, fleetMode bool, fleet, m
 		if metricsOut == "" {
 			return false
 		}
-		err := writeMetricsFile(metricsOut, reg)
+		err := reg.WriteFile(metricsOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "metrics-out:", err)
 		}
 		return err != nil
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 	start := time.Now()
-	r, err := be.Run(ctx, eval.Cell{Workload: wl, Config: cfg, Warmup: warmup, Measure: insts})
+	r, err := be.Run(ctx, eval.Cell{Workload: wl, Config: cfg, Warmup: p.Warmup, Measure: p.Measure})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		dumpEvents(events)
+		events.Dump(os.Stderr)
 		flush()
 		os.Exit(1)
 	}
 	fmt.Printf("workload  %s (%s)\n", r.Workload, r.Suite)
 	fmt.Printf("frontend  %s\n", r.Config)
-	if fleetMode {
+	if len(addrs) > 0 {
 		st := be.Stats()
 		fmt.Printf("backend   fleet (%d workers, %d via fallback) in %.1fs\n",
 			len(st.Workers), st.Fallback, time.Since(start).Seconds())
@@ -405,22 +335,20 @@ func printProbe(reg *obs.Registry, m *pipeline.Machine, cfg pipeline.Config) {
 }
 
 // compareFronts runs every organisation on one workload.
-func compareFronts(e *workload.Entry, warmup, insts uint64) {
+func compareFronts(ctx context.Context, e *workload.Entry, p eval.Params) {
 	t := report.New("all front-ends on "+e.Name,
 		"front", "IPC", "rel-DCF", "MPKI", "flushes", "wrong-path%", "cpl/prd")
 	var dcfIPC float64
 	for _, name := range []string{"dcf", "nodcf", "lelf", "retelf", "indelf", "condelf", "uelf"} {
-		cfg, err := frontConfig(name)
+		cfg, err := pipeline.ParseFront(name)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			die(2, err)
 		}
-		m := pipeline.MustNew(cfg, e.Program())
-		if warmup > 0 {
-			m.Run(warmup)
-			m.ResetStats()
+		m, err := eval.Measure(ctx, e.Program(), cfg, p, nil)
+		if err != nil {
+			die(1, err)
 		}
-		st := m.Run(insts)
+		st := &m.Stats
 		if cfg.Name() == "DCF" {
 			dcfIPC = st.IPC()
 		}

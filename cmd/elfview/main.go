@@ -2,7 +2,9 @@
 // short execution window: one line per instruction, one column per cycle,
 // with F/D/R/C marks for fetch, decode, rename and retire. Squashed
 // instructions are tagged x (w if wrong-path), coupled-fetched ones c —
-// ELF's coupled periods are directly visible after a flush.
+// ELF's coupled periods are directly visible after a flush. The window is
+// an eval.Measure run: -skip instructions of warmup, then -window
+// measured ones with the tracer attached.
 //
 //	elfview -workload 641.leela_s -front uelf -skip 50000 -window 120
 //
@@ -21,12 +23,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"elfetch/internal/core"
+	"elfetch/internal/eval"
 	"elfetch/internal/obs"
 	"elfetch/internal/pipeline"
 	"elfetch/internal/workload"
@@ -94,33 +96,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	base := pipeline.DefaultConfig()
-	var cfg pipeline.Config
-	switch strings.ToLower(*front) {
-	case "nodcf":
-		cfg = base.NoDCF()
-	case "dcf":
-		cfg = base
-	case "lelf":
-		cfg = base.WithVariant(core.LELF)
-	case "retelf":
-		cfg = base.WithVariant(core.RETELF)
-	case "indelf":
-		cfg = base.WithVariant(core.INDELF)
-	case "condelf":
-		cfg = base.WithVariant(core.CONDELF)
-	case "uelf":
-		cfg = base.WithVariant(core.UELF)
-	default:
-		fmt.Fprintln(os.Stderr, "unknown front-end", *front)
+	cfg, err := pipeline.ParseFront(*front)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-
-	m := pipeline.MustNew(cfg, e.Program())
-	m.Run(*skip)
+	p := eval.Params{Warmup: *skip, Measure: *window}
+	if err := p.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	tr := pipeline.NewTracer(int(*window) * 4)
-	m.AttachTracer(tr)
-	m.Run(*window)
+	if _, err := eval.Measure(context.Background(), e.Program(), cfg, p, tr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	fmt.Printf("%s on %s — F fetch, D decode, R rename, C retire; tags: c coupled, x squashed, w wrong-path\n\n",
 		cfg.Name(), e.Name)

@@ -673,9 +673,6 @@ func (b *Backend) SquashFrom(boundary uint64) {
 	}
 }
 
-// SquashAll empties the window.
-func (b *Backend) SquashAll() { b.SquashFrom(b.robHead) }
-
 // HeadID returns the oldest in-flight absolute id (== NextID when empty).
 func (b *Backend) HeadID() uint64 { return b.robHead }
 

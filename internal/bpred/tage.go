@@ -9,8 +9,8 @@ import "elfetch/internal/isa"
 // with geometrically increasing history lengths override it when they match.
 // The paper's L0-BTB fast path uses only the bimodal component in the same
 // cycle and treats a disagreeing tagged prediction as a one-bubble override
-// in BP2 (Section III-B2) — hence the exported BimodalPredict alongside the
-// full Predict.
+// in BP2 (Section III-B2) — hence Predict reports the bimodal component's
+// direction (TAGEPred.BimodalTaken) alongside the full prediction.
 type TAGE struct {
 	bimodal []int8 // 2-bit counters, -2..1 (taken when >= 0)
 
@@ -112,12 +112,6 @@ func (tb *tageTable) tagOf(pc uint64, h History) uint16 {
 
 func (t *TAGE) bimodalIndex(pc isa.Addr) uint32 {
 	return uint32(uint64(pc) >> 2 & (1<<tageBimodalBits - 1))
-}
-
-// BimodalPredict returns only the base component's prediction — available
-// in the same cycle as an L0 BTB hit.
-func (t *TAGE) BimodalPredict(pc isa.Addr) bool {
-	return t.bimodal[t.bimodalIndex(pc)] >= 0
 }
 
 // Predict returns the full TAGE prediction for the conditional branch at pc

@@ -289,10 +289,6 @@ func (c *Controller) tracking() bool {
 // instruction will occupy.
 func (c *Controller) CoupledIdx() int { return c.CoupledVec.Next() }
 
-// DecoupledIdx returns the period-relative index the next decoupled record
-// will occupy.
-func (c *Controller) DecoupledIdx() int { return c.DecoupledVec.Next() }
-
 // RecordCoupled logs a decoded coupled instruction into the coupled
 // bitvector (and target queue for taken branches). taken/target describe
 // what the coupled fetcher did (its prediction). Returns false when the

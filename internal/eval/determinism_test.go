@@ -33,11 +33,11 @@ func TestRunOneDeterministic(t *testing.T) {
 		cfg := cfg
 		t.Run(cfg.Name(), func(t *testing.T) {
 			t.Parallel()
-			first, err := RunOne(context.Background(), e, cfg, p)
+			first, err := RunOne(context.Background(), e, cfg, p, nil)
 			if err != nil {
 				t.Fatalf("first run: %v", err)
 			}
-			second, err := RunOne(context.Background(), e, cfg, p)
+			second, err := RunOne(context.Background(), e, cfg, p, nil)
 			if err != nil {
 				t.Fatalf("second run: %v", err)
 			}
@@ -63,11 +63,11 @@ func TestRunOneDeterministicWithProbe(t *testing.T) {
 	probed := plain
 	probed.Probe = NewProbe(obs.NewRegistry())
 
-	bare, err := RunOne(context.Background(), e, cfg, plain)
+	bare, err := RunOne(context.Background(), e, cfg, plain, nil)
 	if err != nil {
 		t.Fatalf("unprobed run: %v", err)
 	}
-	obs, err := RunOne(context.Background(), e, cfg, probed)
+	obs, err := RunOne(context.Background(), e, cfg, probed, nil)
 	if err != nil {
 		t.Fatalf("probed run: %v", err)
 	}

@@ -22,6 +22,7 @@ import (
 	"elfetch/internal/btb"
 	"elfetch/internal/core"
 	"elfetch/internal/pipeline"
+	"elfetch/internal/program"
 	"elfetch/internal/uop"
 	"elfetch/internal/workload"
 )
@@ -51,7 +52,8 @@ type Params struct {
 	Runner CellRunner `json:"-"`
 }
 
-// DefaultParams is a laptop-scale default.
+// DefaultParams is the laptop-scale default run length: the -warmup and
+// -insts defaults of cmd/elfbench and cmd/elfd.
 func DefaultParams() Params {
 	return Params{Warmup: 200_000, Measure: 800_000}
 }
@@ -103,34 +105,53 @@ type Result struct {
 	Cycles     uint64     `json:"cycles"`
 }
 
-// RunOne measures one workload under one configuration. It returns early
-// with ctx.Err() when the context is cancelled mid-run.
-func RunOne(ctx context.Context, e *workload.Entry, cfg pipeline.Config, p Params) (Result, error) {
+// Measure is the one measurement procedure every number in the
+// reproduction comes from (EXPERIMENTS.md, "Methodology"). It validates
+// p, builds a machine for prog under cfg, runs p.Warmup instructions,
+// resets the counters, attaches p.Probe and tr (either may be nil) and
+// runs p.Measure instructions. The returned machine's Stats, BTB, cache
+// and ELF counters cover the measured window only. A cancelled ctx stops
+// the run with ctx.Err(), and a wedged machine with pipeline.ErrWedged.
+func Measure(ctx context.Context, prog *program.Program, cfg pipeline.Config, p Params, tr *pipeline.Tracer) (*pipeline.Machine, error) {
 	if err := p.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	m, err := pipeline.New(cfg, e.Program())
+	m, err := pipeline.New(cfg, prog)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if p.Warmup > 0 {
 		if _, err := m.RunContext(ctx, p.Warmup); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		m.ResetStats()
 	}
 	if p.Probe != nil {
 		m.AttachProbe(p.Probe)
 	}
-	st, err := m.RunContext(ctx, p.Measure)
+	if tr != nil {
+		m.AttachTracer(tr)
+	}
+	if _, err := m.RunContext(ctx, p.Measure); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// RunOne measures one workload under one configuration and summarises
+// the run as a Result. tr, when non-nil, records the measured window
+// (export it with Tracer.WritePipeview or Tracer.WriteChromeTrace).
+func RunOne(ctx context.Context, e *workload.Entry, cfg pipeline.Config, p Params, tr *pipeline.Tracer) (Result, error) {
+	m, err := Measure(ctx, e.Program(), cfg, p, tr)
 	if err != nil {
 		return Result{}, err
 	}
-	return resultFrom(e, cfg, m, st), nil
+	return resultFrom(e, cfg, m), nil
 }
 
 // resultFrom assembles a Result from a finished measurement run.
-func resultFrom(e *workload.Entry, cfg pipeline.Config, m *pipeline.Machine, st *pipeline.Stats) Result {
+func resultFrom(e *workload.Entry, cfg pipeline.Config, m *pipeline.Machine) Result {
+	st := &m.Stats
 	bs := m.BTBStats()
 	r := Result{
 		Workload:   e.Name,
@@ -305,24 +326,12 @@ func Table2(w io.Writer) error {
 // PeriodHistogram prints the coupled-period length distribution for a
 // variant on one workload (Figure 8 colour).
 func PeriodHistogram(ctx context.Context, w io.Writer, name string, v core.Variant, p Params) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
 	e, err := workload.Lookup(name)
 	if err != nil {
 		return err
 	}
-	m, err := pipeline.New(pipeline.DefaultConfig().WithVariant(v), e.Program())
+	m, err := Measure(ctx, e.Program(), pipeline.DefaultConfig().WithVariant(v), p, nil)
 	if err != nil {
-		return err
-	}
-	if p.Warmup > 0 {
-		if _, err := m.RunContext(ctx, p.Warmup); err != nil {
-			return err
-		}
-		m.ResetStats()
-	}
-	if _, err := m.RunContext(ctx, p.Measure); err != nil {
 		return err
 	}
 	elf := m.ELF()

@@ -36,7 +36,7 @@ func TestRunOneProducesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := RunOne(context.Background(), e, pipeline.DefaultConfig(), tiny())
+	r, err := RunOne(context.Background(), e, pipeline.DefaultConfig(), tiny(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRunOneRejectsBadParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunOne(context.Background(), e, pipeline.DefaultConfig(), Params{}); err == nil {
+	if _, err := RunOne(context.Background(), e, pipeline.DefaultConfig(), Params{}, nil); err == nil {
 		t.Error("zero Measure accepted")
 	}
 }
@@ -65,7 +65,7 @@ func TestRunOneCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunOne(ctx, e, pipeline.DefaultConfig(), tiny()); !errors.Is(err, context.Canceled) {
+	if _, err := RunOne(ctx, e, pipeline.DefaultConfig(), tiny(), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -1,11 +1,8 @@
 package eval
 
 import (
-	"context"
-
 	"elfetch/internal/obs"
 	"elfetch/internal/pipeline"
-	"elfetch/internal/workload"
 )
 
 // NewProbe builds a pipeline.Probe whose observers are histograms on reg,
@@ -33,35 +30,4 @@ func NewProbe(reg *obs.Registry) *pipeline.Probe {
 			"Cycles from resync-prepare to the coupled->decoupled switch.",
 			obs.ExpBuckets(1, 2, 10)),
 	}
-}
-
-// RunOneTraced is RunOne plus a cycle-level trace of the measurement
-// window: a Tracer capturing up to maxEvents instruction records is
-// attached after warmup (alongside p.Probe, if set) and returned for
-// export via Tracer.WritePipeview or Tracer.WriteChromeTrace.
-func RunOneTraced(ctx context.Context, e *workload.Entry, cfg pipeline.Config, p Params, maxEvents int) (Result, *pipeline.Tracer, error) {
-	if err := p.Validate(); err != nil {
-		return Result{}, nil, err
-	}
-	m, err := pipeline.New(cfg, e.Program())
-	if err != nil {
-		return Result{}, nil, err
-	}
-	if p.Warmup > 0 {
-		if _, err := m.RunContext(ctx, p.Warmup); err != nil {
-			return Result{}, nil, err
-		}
-		m.ResetStats()
-	}
-	if p.Probe != nil {
-		m.AttachProbe(p.Probe)
-	}
-	tr := pipeline.NewTracer(maxEvents)
-	m.AttachTracer(tr)
-	st, err := m.RunContext(ctx, p.Measure)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	r := resultFrom(e, cfg, m, st)
-	return r, tr, nil
 }

@@ -54,7 +54,7 @@ func RunCell(ctx context.Context, c Cell, probe *pipeline.Probe) (Result, error)
 	}
 	p := c.Params()
 	p.Probe = probe
-	return RunOne(ctx, e, c.Config, p)
+	return RunOne(ctx, e, c.Config, p, nil)
 }
 
 // CellRunner dispatches evaluation cells to an execution backend. The

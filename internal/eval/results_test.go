@@ -34,7 +34,7 @@ func TestRunCellMatchesRunOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := tiny()
-	want, err := RunOne(context.Background(), e, pipeline.DefaultConfig(), p)
+	want, err := RunOne(context.Background(), e, pipeline.DefaultConfig(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

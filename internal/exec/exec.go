@@ -36,6 +36,7 @@ package exec
 
 import (
 	"context"
+	"strings"
 
 	"elfetch/internal/eval"
 	"elfetch/internal/sched"
@@ -64,6 +65,53 @@ var (
 	_ Backend         = (*Fleet)(nil)
 	_ eval.CellRunner = (Backend)(nil)
 )
+
+// Error-envelope codes of the wire contract. Fleet classifies a failed
+// dispatch by them: CodeSimFailed and any 4xx are permanent (the sim is
+// deterministic, so retrying elsewhere cannot help); the rest are
+// infrastructure trouble worth retrying on another worker. Renaming one
+// changes how every coordinator treats it.
+const (
+	CodeBadRequest   = "bad_request"
+	CodeNotFound     = "not_found"
+	CodeConflict     = "conflict"
+	CodeCanceled     = "canceled"
+	CodeQueueFull    = "queue_full"
+	CodeShuttingDown = "shutting_down"
+	CodeSimFailed    = "sim_failed"
+	CodeInternal     = "internal"
+)
+
+// ErrorEnvelope is the uniform /v1 error body:
+// {"error":{"code","message","detail","trace"}}.
+type ErrorEnvelope struct {
+	Error ErrorBody `json:"error"`
+}
+
+// ErrorBody is the envelope's payload. Code is one of the Code constants,
+// Message the human-readable cause and Detail optional context (which
+// sub-system, what limit).
+type ErrorBody struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
+	Detail  string `json:"detail,omitempty"`
+	// Trace echoes the requester's trace id (from `traceparent`), so an
+	// error a coordinator logs can be joined to the worker's view of it.
+	Trace string `json:"trace,omitempty"`
+}
+
+// SplitWorkers parses a -fleet flag value, a comma-separated list of
+// worker base URLs, dropping blanks. Every command runs in fleet mode
+// exactly when the list is non-empty.
+func SplitWorkers(list string) []string {
+	var out []string
+	for _, a := range strings.Split(list, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
+}
 
 // WorkerStats is one fleet worker's dispatch ledger.
 type WorkerStats struct {

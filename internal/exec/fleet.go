@@ -298,15 +298,6 @@ type cellError struct {
 func (e *cellError) Error() string { return e.err.Error() }
 func (e *cellError) Unwrap() error { return e.err }
 
-// errEnvelope is the elfd /v1 error body {"error":{code,message,detail}}.
-type errEnvelope struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-		Detail  string `json:"detail"`
-	} `json:"error"`
-}
-
 // post dispatches one cell to one worker and classifies the outcome.
 // hop, when non-nil, is the attempt's span: its identity crosses the wire
 // as `traceparent` (stitching the worker into the coordinator's trace)
@@ -352,7 +343,7 @@ func (f *Fleet) post(ctx context.Context, w *worker, body []byte, hop *obs.Span)
 		return r, nil
 	}
 
-	var env errEnvelope
+	var env ErrorEnvelope
 	msg := resp.Status
 	code := ""
 	if err := json.NewDecoder(resp.Body).Decode(&env); err == nil && env.Error.Message != "" {
@@ -364,7 +355,7 @@ func (f *Fleet) post(ctx context.Context, w *worker, body []byte, hop *obs.Span)
 	}
 	werr := fmt.Errorf("%s: %s (%s)", w.addr, msg, resp.Status)
 	switch {
-	case code == "sim_failed" || (resp.StatusCode >= 400 && resp.StatusCode < 500):
+	case code == CodeSimFailed || (resp.StatusCode >= 400 && resp.StatusCode < 500):
 		// The sim is deterministic: a cell the worker rejected or failed
 		// on would fail identically anywhere. Don't blame the worker.
 		return eval.Result{}, &cellError{err: werr, permanent: true}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,6 +45,20 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// WriteFile writes the registry to path in Prometheus text format: the
+// -metrics-out dump of the command-line tools.
+func (r *Registry) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WritePrometheus(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func writeChild(w io.Writer, f *family, c *child) error {

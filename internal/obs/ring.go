@@ -15,6 +15,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
 	"sync/atomic"
@@ -127,4 +128,18 @@ func (r *Ring) WriteJSON(w io.Writer, n int) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(events)
+}
+
+// Dump writes every retained event to w under a one-line header, so a
+// failed or interrupted run leaves a post-mortem trail. A nil or empty
+// ring writes nothing; a failed write is reported on w.
+func (r *Ring) Dump(w io.Writer) {
+	if r == nil || r.Total() == 0 {
+		return
+	}
+	fmt.Fprintf(w, "flight recorder (%d events recorded, oldest first):\n", r.Total())
+	if err := r.WriteJSON(w, 0); err != nil {
+		fmt.Fprintln(w, "flight recorder dump:", err)
+	}
+	fmt.Fprintln(w)
 }

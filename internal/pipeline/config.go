@@ -16,6 +16,7 @@ package pipeline
 
 import (
 	"fmt"
+	"strings"
 
 	"elfetch/internal/backend"
 	"elfetch/internal/btb"
@@ -154,6 +155,23 @@ func (c Config) NoDCF() Config {
 	c.Front = FrontNoDCF
 	c.Variant = core.NoELF
 	return c
+}
+
+// ParseFront returns the default configuration for a front-end name:
+// "nodcf" (any case) names the coupled baseline, and anything
+// core.ParseVariant accepts names the DCF under that ELF variant.
+// ParseFront(c.Name()) returns c for every front-end c built from
+// DefaultConfig.
+func ParseFront(name string) (Config, error) {
+	base := DefaultConfig()
+	if strings.EqualFold(name, "nodcf") {
+		return base.NoDCF(), nil
+	}
+	v, err := core.ParseVariant(name)
+	if err != nil {
+		return Config{}, fmt.Errorf("pipeline: unknown front-end %q (want NoDCF, DCF, L-ELF, RET-ELF, IND-ELF, COND-ELF or U-ELF)", name)
+	}
+	return base.WithVariant(v), nil
 }
 
 // Name describes the organisation for reports.

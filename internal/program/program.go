@@ -116,15 +116,6 @@ func (p *Program) MustAt(pc isa.Addr) *Static {
 	return s
 }
 
-// FuncAt returns the function containing pc, or nil.
-func (p *Program) FuncAt(pc isa.Addr) *Func {
-	s := p.At(pc)
-	if s == nil {
-		return nil
-	}
-	return p.Funcs[s.FuncID]
-}
-
 // FootprintBytes returns the code footprint in bytes, the headline
 // "instruction footprint" knob of the server workloads.
 func (p *Program) FootprintBytes() int { return len(p.code) * isa.InstBytes }

@@ -66,4 +66,18 @@ go test -race -count=1 -run TestExperimentRegistry ./internal/eval/
 go test -race -count=1 -run TestCoordinatorDispatchesExperimentCells ./cmd/elfd/
 # CLI smoke: elfbench has no tests, so this is the gate on its -exp wiring.
 go run ./cmd/elfbench -exp all -warmup 1000 -insts 4000 -format csv >/dev/null
+# In-process CLI smoke: elfsim, elfview and elfbench -hist have no tests,
+# and each measures its machine through eval.Measure. Tiny lengths; the
+# trace goes to a temp dir.
+echo "verify: in-process CLI smoke (elfsim, elfview, elfbench -hist)"
+smoke=$(mktemp -d)
+trap 'rm -rf "$smoke"' EXIT
+go build -o "$smoke/" ./cmd/elfsim ./cmd/elfview ./cmd/elfbench
+"$smoke/elfsim" -warmup 1000 -insts 4000 >/dev/null
+"$smoke/elfsim" -warmup 1000 -insts 4000 -front uelf -probe >/dev/null
+"$smoke/elfsim" -warmup 1000 -insts 4000 -compare >/dev/null
+"$smoke/elfsim" -warmup 1000 -insts 4000 -front uelf -trace-out "$smoke/trace.json" >/dev/null
+test -s "$smoke/trace.json"
+"$smoke/elfview" -skip 1000 -window 48 >/dev/null
+"$smoke/elfbench" -hist 641.leela_s:uelf -warmup 1000 -insts 4000 >/dev/null
 echo "verify: OK"
