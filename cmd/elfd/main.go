@@ -104,8 +104,8 @@ func openStore(dir string, maxBytes int64, reg *obs.Registry, events *obs.Ring, 
 // server's scheduler workers while its cells run, so queueing them behind
 // it would deadlock at -workers 1. It registers no metrics either: the
 // server's scheduler already registers the sched families on opt.Metrics,
-// and merging a second scheduler's counts into them would make both
-// unreadable.
+// and a second scheduler there would share those counters, so both
+// Stats() blocks would read the sum.
 func newBackend(opt serverOptions, addrs []string, workers, cacheSize int, slowCell time.Duration) (exec.Backend, error) {
 	local := exec.NewLocal(exec.LocalConfig{Workers: workers, CacheSize: cacheSize,
 		Probe: eval.NewProbe(opt.Metrics), Events: opt.Events, SlowCell: slowCell, Store: opt.Store})

@@ -30,12 +30,6 @@ import (
 	"elfetch/internal/workload"
 )
 
-// variantRuns counts completed simulation tasks per configuration or
-// experiment name ("DCF", "U-ELF", "figure-8", ...). Package-level
-// because expvar's registry is process-global; the per-server obs
-// counters mirror it.
-var variantRuns = expvar.NewMap("elfd_variant_runs")
-
 // serverOptions carries the optional wiring newServer accepts.
 type serverOptions struct {
 	// Metrics is the registry behind GET /metrics (nil = a fresh private
@@ -210,9 +204,9 @@ func (s *server) reqLog(ctx context.Context) *slog.Logger {
 }
 
 // countRun records a completed simulation task under its config or
-// experiment name, in both the expvar map and the Prometheus registry.
+// experiment name ("DCF", "U-ELF", "figure-8", ...) on elfd_runs_total,
+// which /debug/stats reads back as variantRuns.
 func (s *server) countRun(name string) {
-	variantRuns.Add(name, 1)
 	s.reg.Counter("elfd_runs_total", "Completed simulation tasks, by configuration.",
 		obs.L("config", name)).Inc()
 }
@@ -775,11 +769,11 @@ func (s *server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 // criteria key on (queue depth, cache hit rate, sims/sec, per-variant run
 // counts).
 type statsResponse struct {
-	UptimeSeconds float64          `json:"uptimeSeconds"`
-	SimsPerSec    float64          `json:"simsPerSec"`
-	CacheHitRate  float64          `json:"cacheHitRate"`
-	Scheduler     sched.Stats      `json:"scheduler"`
-	VariantRuns   map[string]int64 `json:"variantRuns"`
+	UptimeSeconds float64           `json:"uptimeSeconds"`
+	SimsPerSec    float64           `json:"simsPerSec"`
+	CacheHitRate  float64           `json:"cacheHitRate"`
+	Scheduler     sched.Stats       `json:"scheduler"`
+	VariantRuns   map[string]uint64 `json:"variantRuns"`
 	// Exec carries the backend's counters: the Local's pool and cache on
 	// a single node, the fleet's dispatch ledger on a coordinator.
 	Exec *exec.Stats `json:"exec,omitempty"`
@@ -799,7 +793,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{
 		UptimeSeconds: uptime,
 		Scheduler:     st,
-		VariantRuns:   map[string]int64{},
+		VariantRuns:   s.reg.CounterValues("elfd_runs_total", "config"),
 	}
 	if uptime > 0 {
 		resp.SimsPerSec = float64(st.Completed) / uptime
@@ -807,11 +801,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if total := st.Cache.Hits + st.Cache.Misses; total > 0 {
 		resp.CacheHitRate = float64(st.Cache.Hits) / float64(total)
 	}
-	variantRuns.Do(func(kv expvar.KeyValue) {
-		if v, ok := kv.Value.(*expvar.Int); ok {
-			resp.VariantRuns[kv.Key] = v.Value()
-		}
-	})
 	es := s.backend.Stats()
 	resp.Exec = &es
 	if s.fed != nil {

@@ -360,6 +360,27 @@ func TestDebugStatsShape(t *testing.T) {
 	}
 }
 
+// TestRunCountsArePerServer pins that /debug/stats variantRuns reads the
+// server's own elfd_runs_total counters: a run on one server leaves
+// another server in the same process at zero.
+func TestRunCountsArePerServer(t *testing.T) {
+	first, _ := testServer(t)
+	second, _ := testServer(t)
+	rec, _ := doJSON(t, first, "POST", "/v1/jobs?wait=1",
+		map[string]any{"workload": "641.leela_s", "variant": "uelf"})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("run: %d %s", rec.Code, rec.Body.String())
+	}
+	_, stats := doJSON(t, first, "GET", "/debug/stats", nil)
+	if got := stats["variantRuns"]; !reflect.DeepEqual(got, map[string]any{"U-ELF": 1.0}) {
+		t.Errorf("first server variantRuns = %v, want {U-ELF: 1}", got)
+	}
+	_, stats = doJSON(t, second, "GET", "/debug/stats", nil)
+	if got := stats["variantRuns"]; !reflect.DeepEqual(got, map[string]any{}) {
+		t.Errorf("second server variantRuns = %v, want empty", got)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	srv, _ := testServer(t)
 	req := httptest.NewRequest("GET", "/metrics", nil)

@@ -61,14 +61,6 @@ func (r *RAS) Pop() (ra isa.Addr, ok bool) {
 	return ra, true
 }
 
-// Peek returns the top without consuming it.
-func (r *RAS) Peek() (isa.Addr, bool) {
-	if r.depth == 0 {
-		return 0, false
-	}
-	return r.entries[r.top], true
-}
-
 // Depth returns the logical depth.
 func (r *RAS) Depth() int { return r.depth }
 

@@ -10,8 +10,8 @@ func TestRASPushPop(t *testing.T) {
 	r := NewRAS(32)
 	r.Push(0x100)
 	r.Push(0x200)
-	if top, ok := r.Peek(); !ok || top != 0x200 {
-		t.Fatalf("Peek = %v,%v", top, ok)
+	if r.depth != 2 || r.entries[r.top] != 0x200 {
+		t.Fatalf("top = %v at depth %d", r.entries[r.top], r.depth)
 	}
 	if ra, ok := r.Pop(); !ok || ra != 0x200 {
 		t.Fatalf("Pop = %v,%v", ra, ok)

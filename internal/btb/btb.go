@@ -173,18 +173,6 @@ func (b *bank) insert(e Entry) {
 	b.touch(s, victim)
 }
 
-// invalidate removes the entry starting at pc, if present.
-func (b *bank) invalidate(pc isa.Addr) {
-	s := b.setOf(pc)
-	base := s * b.ways
-	for w := 0; w < b.ways; w++ {
-		i := base + w
-		if b.valid[i] && b.entries[i].Start == pc {
-			b.valid[i] = false
-		}
-	}
-}
-
 // Stats counts per-level lookup outcomes.
 type Stats struct {
 	Lookups uint64
@@ -294,14 +282,4 @@ func (b *BTB) Install(e Entry) {
 			b.l0.insert(e)
 		}
 	}
-}
-
-// Invalidate removes any entry starting at pc from every level (entry
-// amendment replaces stale layouts).
-func (b *BTB) Invalidate(pc isa.Addr) {
-	if b.l0 != nil {
-		b.l0.invalidate(pc)
-	}
-	b.l1.invalidate(pc)
-	b.l2.invalidate(pc)
 }

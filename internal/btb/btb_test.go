@@ -70,17 +70,6 @@ func TestL1FallsBackToL2(t *testing.T) {
 	}
 }
 
-func TestInvalidateRemovesEverywhere(t *testing.T) {
-	b := newDefault()
-	b.Install(entryAt(0x2000, 4))
-	b.Lookup(0x2000)
-	b.Lookup(0x2000) // now in L0
-	b.Invalidate(0x2000)
-	if _, lvl := b.Lookup(0x2000); lvl != Miss {
-		t.Errorf("level after invalidate = %v, want Miss", lvl)
-	}
-}
-
 func TestInstallRefreshesResidentL0(t *testing.T) {
 	b := newDefault()
 	b.Install(entryAt(0x3000, 16))

@@ -51,10 +51,6 @@ func (b *Builder) ForceBoundary(pc isa.Addr) {
 	b.boundaries.Add(pc)
 }
 
-// ObservedTaken reports whether the conditional at pc has ever retired
-// taken (exposed for divergence logic and tests).
-func (b *Builder) ObservedTaken(pc isa.Addr) bool { return b.everTaken.Contains(pc) }
-
 // Retire feeds one retiring instruction: its address, class, branch outcome
 // and — for direct branches — its (decoded) target.
 func (b *Builder) Retire(pc isa.Addr, class isa.Class, taken bool, target isa.Addr) {

@@ -108,8 +108,8 @@ func TestBuilderAmendmentOnNewlyTakenCond(t *testing.T) {
 	if e.NumBranches != 1 || e.Count != 16 {
 		t.Fatalf("re-extended entry = %+v", e)
 	}
-	if !b.ObservedTaken(0x5000 + 2*4) {
-		t.Error("ObservedTaken lost")
+	if !b.everTaken.Contains(0x5000 + 2*4) {
+		t.Error("observed-taken bit lost")
 	}
 }
 

@@ -229,17 +229,6 @@ func (c *Controller) Reevaluate(headCount int) (ResyncAction, int) {
 	return c.evaluate(headCount)
 }
 
-// OnCoupledStall is the case-2b hook: coupled fetch has stalled at a
-// control-flow decision it cannot resolve, so every speculatively counted
-// instruction beyond the decode coupled count is overshoot and is
-// discarded.
-func (c *Controller) OnCoupledStall() {
-	if over := c.fetchCoupled - c.decodeCoupled; over > 0 {
-		c.OnCoupledSquash(over)
-		c.OvershootSquashes++
-	}
-}
-
 func (c *Controller) switchToDecoupled() {
 	c.mode = Decoupled
 	c.ResyncSwitches++

@@ -102,17 +102,14 @@ func TestLELFOvershootSquash(t *testing.T) {
 	c.OnCoupledFetch(16)
 	c.OnCoupledDecoded(10)
 	// Decode stalls at the control decision (inst 10): the pipeline
-	// discards the blind overshoot.
-	c.OnCoupledStall()
+	// discards the blind overshoot, rolling back its 6 fetch counts.
+	c.OnCoupledSquash(6)
 	if f, _, _ := c.Counts(); f != 10 {
 		t.Fatalf("fetch count after stall squash = %d, want 10", f)
 	}
 	a, keep := c.ProcessHead(10)
 	if a != ResyncSwitch || keep != 0 {
 		t.Fatalf("action=%v keep=%d, want switch,0", a, keep)
-	}
-	if c.OvershootSquashes != 1 {
-		t.Fatalf("overshoot squashes = %d", c.OvershootSquashes)
 	}
 	// All kept coupled insts decoded: period closed immediately.
 	if c.Draining() {

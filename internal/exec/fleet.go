@@ -47,9 +47,10 @@ type FleetConfig struct {
 	// healthy, so a grid degrades to local execution instead of failing.
 	// The fleet owns it: Close closes it too.
 	Fallback Backend
-	// Metrics, when non-nil, receives per-worker dispatch counters, the
+	// Metrics exposes the per-worker dispatch counters, the
 	// worker_healthy gauge, the cell latency histogram and the per-hop
-	// latency histograms split by outcome.
+	// latency histograms split by outcome. Stats reads the same counters,
+	// so nil only keeps them unexposed.
 	Metrics *obs.Registry
 	// Spans, when non-nil, collects the fleet's dispatch spans (one cell
 	// span per Run, one child span per dispatch attempt). When nil the
@@ -58,8 +59,8 @@ type FleetConfig struct {
 	// log is a fixed ring: once full, each finished span overwrites the
 	// oldest in O(1).
 	Spans *obs.SpanLog
-	// Events, when non-nil, receives flight-recorder events (dispatch,
-	// retry, quarantine, revive, fallback, slow-cell).
+	// Events receives flight-recorder events (dispatch, retry,
+	// quarantine, revive, fallback, slow-cell); nil drops them.
 	Events *obs.Ring
 	// SlowCell, when positive, is the wall-clock threshold beyond which a
 	// completed cell is recorded as a slow_cell event.
@@ -72,29 +73,16 @@ type FleetConfig struct {
 	Store store.Store
 }
 
-// worker is one remote elfd's dispatch ledger.
+// worker is one remote elfd's dispatch ledger. Its counts are the
+// elf_exec_cells_*_total{worker} counters.
 type worker struct {
 	addr string
 
-	healthy    atomic.Bool
+	healthy    atomic.Bool // exposed as elf_exec_worker_healthy
 	inFlight   atomic.Int64
-	dispatched atomic.Uint64
-	retried    atomic.Uint64
-	requeued   atomic.Uint64
-
-	// registry children (nil without FleetConfig.Metrics)
-	mDispatched *obs.Counter
-	mRetried    *obs.Counter
-	mRequeued   *obs.Counter
-	mHealthy    *obs.Gauge
-}
-
-// setHealthy flips the worker's state, mirroring it to the gauge.
-func (w *worker) setHealthy(v bool) {
-	w.healthy.Store(v)
-	if w.mHealthy != nil {
-		w.mHealthy.SetBool(v)
-	}
+	dispatched *obs.Counter
+	retried    *obs.Counter
+	requeued   *obs.Counter
 }
 
 // Fleet shards cells across remote elfd workers. Dispatch is
@@ -123,10 +111,10 @@ type Fleet struct {
 	fallback atomic.Uint64
 
 	spans  *obs.SpanLog
-	events *obs.Ring // nil without FleetConfig.Events
+	events *obs.Ring
 
-	cellSeconds *obs.Histogram            // nil without Metrics
-	hopSeconds  map[string]*obs.Histogram // outcome -> histogram; nil without Metrics
+	cellSeconds *obs.Histogram
+	hopSeconds  map[string]*obs.Histogram // by outcome
 
 	mu  sync.Mutex // guards rng (math/rand.Rand is not race-safe)
 	rng *rand.Rand
@@ -162,33 +150,38 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if f.spans == nil {
 		f.spans = obs.NewSpanLog(0)
 	}
+	reg := cfg.Metrics
 	for _, addr := range cfg.Workers {
 		addr = strings.TrimRight(addr, "/")
-		w := &worker{addr: addr}
-		if cfg.Metrics != nil {
-			lbl := obs.L("worker", addr)
-			w.mDispatched = cfg.Metrics.Counter("elf_exec_cells_dispatched_total",
-				"Cells posted to a fleet worker (including later failures).", lbl)
-			w.mRetried = cfg.Metrics.Counter("elf_exec_cells_retried_total",
-				"Cell dispatch attempts that failed retriably.", lbl)
-			w.mRequeued = cfg.Metrics.Counter("elf_exec_cells_requeued_total",
-				"Cells re-queued to another worker after a quarantine.", lbl)
-			w.mHealthy = cfg.Metrics.Gauge("elf_exec_worker_healthy",
-				"1 while the worker is in the dispatchable set, 0 while quarantined.", lbl)
+		lbl := obs.L("worker", addr)
+		w := &worker{
+			addr: addr,
+			dispatched: reg.Counter("elf_exec_cells_dispatched_total",
+				"Cells posted to a fleet worker (including later failures).", lbl),
+			retried: reg.Counter("elf_exec_cells_retried_total",
+				"Cell dispatch attempts that failed retriably.", lbl),
+			requeued: reg.Counter("elf_exec_cells_requeued_total",
+				"Cells re-queued to another worker after a quarantine.", lbl),
 		}
-		w.setHealthy(true)
+		w.healthy.Store(true)
+		reg.GaugeFunc("elf_exec_worker_healthy",
+			"1 while the worker is in the dispatchable set, 0 while quarantined.",
+			func() float64 {
+				if w.healthy.Load() {
+					return 1
+				}
+				return 0
+			}, lbl)
 		f.workers = append(f.workers, w)
 	}
-	if cfg.Metrics != nil {
-		f.cellSeconds = cfg.Metrics.Histogram("elf_exec_cell_seconds",
-			"Wall-clock time to complete one cell through the fleet.",
-			obs.ExpBuckets(0.005, 4, 8))
-		f.hopSeconds = make(map[string]*obs.Histogram)
-		for _, outcome := range []string{hopOK, hopRetry, hopRequeue, hopPermanent} {
-			f.hopSeconds[outcome] = cfg.Metrics.Histogram("elf_exec_hop_seconds",
-				"Wall-clock time of one dispatch attempt (coordinator to worker and back), by outcome.",
-				obs.ExpBuckets(0.001, 4, 8), obs.L("outcome", outcome))
-		}
+	f.cellSeconds = reg.Histogram("elf_exec_cell_seconds",
+		"Wall-clock time to complete one cell through the fleet.",
+		obs.ExpBuckets(0.005, 4, 8))
+	f.hopSeconds = make(map[string]*obs.Histogram)
+	for _, outcome := range []string{hopOK, hopRetry, hopRequeue, hopPermanent} {
+		f.hopSeconds[outcome] = reg.Histogram("elf_exec_hop_seconds",
+			"Wall-clock time of one dispatch attempt (coordinator to worker and back), by outcome.",
+			obs.ExpBuckets(0.001, 4, 8), obs.L("outcome", outcome))
 	}
 	f.wg.Add(1)
 	go f.probeLoop()
@@ -207,18 +200,9 @@ const (
 // export the stitched trace after a grid run.
 func (f *Fleet) Spans() *obs.SpanLog { return f.spans }
 
-// record appends one flight-recorder event when a ring is configured.
-func (f *Fleet) record(e obs.Event) {
-	if f.events != nil {
-		f.events.Add(e)
-	}
-}
-
 // observeHop feeds one dispatch attempt into the outcome-split histogram.
 func (f *Fleet) observeHop(outcome string, d time.Duration) {
-	if h := f.hopSeconds[outcome]; h != nil {
-		h.Observe(d.Seconds())
-	}
+	f.hopSeconds[outcome].Observe(d.Seconds())
 }
 
 // probeLoop periodically health-checks every worker, quarantining ones
@@ -233,11 +217,9 @@ func (f *Fleet) probeLoop() {
 			return
 		case <-t.C:
 			for _, w := range f.workers {
-				was := w.healthy.Load()
 				now := f.probe(w)
-				w.setHealthy(now)
-				if now && !was {
-					f.record(obs.Event{Kind: obs.EventRevive, Worker: w.addr,
+				if was := w.healthy.Swap(now); now && !was {
+					f.events.Add(obs.Event{Kind: obs.EventRevive, Worker: w.addr,
 						Detail: "health check passed after quarantine"})
 				}
 			}
@@ -306,10 +288,7 @@ func (e *cellError) Unwrap() error { return e.err }
 func (f *Fleet) post(ctx context.Context, w *worker, body []byte, hop *obs.Span) (eval.Result, *cellError) {
 	w.inFlight.Add(1)
 	defer w.inFlight.Add(-1)
-	w.dispatched.Add(1)
-	if w.mDispatched != nil {
-		w.mDispatched.Inc()
-	}
+	w.dispatched.Inc()
 
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.addr+"/v1/cells", bytes.NewReader(body))
 	if err != nil {
@@ -390,7 +369,7 @@ func (f *Fleet) Run(ctx context.Context, c eval.Cell) (result eval.Result, runEr
 	if f.cfg.Store != nil {
 		key = cellKey(c)
 		if r, ok := loadResult(f.cfg.Store, key); ok {
-			f.record(obs.Event{Kind: obs.EventCacheHit, Cell: cellName,
+			f.events.Add(obs.Event{Kind: obs.EventCacheHit, Cell: cellName,
 				Trace: traceOf(obs.SpanFromContext(ctx))})
 			f.cells.Add(1)
 			return r, nil
@@ -407,7 +386,7 @@ func (f *Fleet) Run(ctx context.Context, c eval.Cell) (result eval.Result, runEr
 			span.Finish()
 		}
 		if d := time.Since(start); runErr == nil && f.cfg.SlowCell > 0 && d > f.cfg.SlowCell {
-			f.record(obs.Event{Kind: obs.EventSlowCell, Cell: cellName,
+			f.events.Add(obs.Event{Kind: obs.EventSlowCell, Cell: cellName,
 				Trace: traceOf(span), Seconds: d.Seconds(),
 				Detail: fmt.Sprintf("exceeded %s threshold", f.cfg.SlowCell)})
 		}
@@ -438,12 +417,10 @@ func (f *Fleet) Run(ctx context.Context, c eval.Cell) (result eval.Result, runEr
 				hop.Finish()
 			}
 			f.observeHop(hopOK, hopTime)
-			f.record(obs.Event{Kind: obs.EventDispatch, Worker: w.addr, Cell: cellName,
+			f.events.Add(obs.Event{Kind: obs.EventDispatch, Worker: w.addr, Cell: cellName,
 				Trace: traceOf(span), Seconds: hopTime.Seconds()})
 			f.cells.Add(1)
-			if f.cellSeconds != nil {
-				f.cellSeconds.Observe(time.Since(start).Seconds())
-			}
+			f.cellSeconds.Observe(time.Since(start).Seconds())
 			if f.cfg.Store != nil {
 				saveResult(f.cfg.Store, key, r)
 			}
@@ -456,32 +433,26 @@ func (f *Fleet) Run(ctx context.Context, c eval.Cell) (result eval.Result, runEr
 		lastErr = cerr
 		if cerr.permanent {
 			f.observeHop(hopPermanent, hopTime)
-			f.record(obs.Event{Kind: obs.EventError, Worker: w.addr, Cell: cellName,
+			f.events.Add(obs.Event{Kind: obs.EventError, Worker: w.addr, Cell: cellName,
 				Trace: traceOf(span), Detail: cerr.Error(), Seconds: hopTime.Seconds()})
 			f.failed.Add(1)
 			return eval.Result{}, fmt.Errorf("exec: cell %s: %w", cellName, cerr)
 		}
-		w.retried.Add(1)
-		if w.mRetried != nil {
-			w.mRetried.Inc()
-		}
+		w.retried.Inc()
 		if cerr.quarantine {
 			f.observeHop(hopRequeue, hopTime)
-			w.setHealthy(false)
-			w.requeued.Add(1)
-			if w.mRequeued != nil {
-				w.mRequeued.Inc()
-			}
-			f.record(obs.Event{Kind: obs.EventQuarantine, Worker: w.addr, Cell: cellName,
+			w.healthy.Store(false)
+			w.requeued.Inc()
+			f.events.Add(obs.Event{Kind: obs.EventQuarantine, Worker: w.addr, Cell: cellName,
 				Trace: traceOf(span), Detail: cerr.Error()})
-			f.record(obs.Event{Kind: obs.EventRequeue, Worker: w.addr, Cell: cellName,
+			f.events.Add(obs.Event{Kind: obs.EventRequeue, Worker: w.addr, Cell: cellName,
 				Trace: traceOf(span)})
 			// The cell goes straight back in the queue: the next attempt
 			// picks a different (healthy) worker, no backoff needed.
 			continue
 		}
 		f.observeHop(hopRetry, hopTime)
-		f.record(obs.Event{Kind: obs.EventRetry, Worker: w.addr, Cell: cellName,
+		f.events.Add(obs.Event{Kind: obs.EventRetry, Worker: w.addr, Cell: cellName,
 			Trace: traceOf(span), Detail: cerr.Error(), Seconds: hopTime.Seconds()})
 		select {
 		case <-ctx.Done():
@@ -512,7 +483,7 @@ func (f *Fleet) runFallback(ctx context.Context, c eval.Cell, cause error) (eval
 		if cause == nil {
 			cause = errors.New("no healthy workers")
 		}
-		f.record(obs.Event{Kind: obs.EventError, Cell: cellName,
+		f.events.Add(obs.Event{Kind: obs.EventError, Cell: cellName,
 			Trace: traceOf(obs.SpanFromContext(ctx)), Detail: cause.Error()})
 		return eval.Result{}, fmt.Errorf("exec: fleet exhausted for cell %s: %w",
 			cellName, cause)
@@ -522,7 +493,7 @@ func (f *Fleet) runFallback(ctx context.Context, c eval.Cell, cause error) (eval
 	if cause != nil {
 		detail = cause.Error()
 	}
-	f.record(obs.Event{Kind: obs.EventFallback, Worker: "local", Cell: cellName,
+	f.events.Add(obs.Event{Kind: obs.EventFallback, Worker: "local", Cell: cellName,
 		Trace: traceOf(obs.SpanFromContext(ctx)), Detail: detail})
 	hop := f.spans.StartSpan(obs.SpanFromContext(ctx), "fallback")
 	if hop != nil {
@@ -557,9 +528,9 @@ func (f *Fleet) Stats() Stats {
 			Addr:       w.addr,
 			Healthy:    w.healthy.Load(),
 			InFlight:   w.inFlight.Load(),
-			Dispatched: w.dispatched.Load(),
-			Retried:    w.retried.Load(),
-			Requeued:   w.requeued.Load(),
+			Dispatched: w.dispatched.Value(),
+			Retried:    w.retried.Value(),
+			Requeued:   w.requeued.Value(),
 		})
 	}
 	if f.cfg.Store != nil {

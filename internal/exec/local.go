@@ -24,14 +24,14 @@ type LocalConfig struct {
 	QueueDepth int
 	// CacheSize bounds the result cache (0 = the sched default).
 	CacheSize int
-	// Metrics, when non-nil, receives the wrapped scheduler's
-	// operational metric families.
+	// Metrics exposes the wrapped scheduler's operational metric
+	// families; nil keeps them unexposed.
 	Metrics *obs.Registry
 	// Probe, when non-nil, is attached to every cell's machine after
 	// warmup (see eval.Params.Probe).
 	Probe *pipeline.Probe
-	// Events, when non-nil, receives flight-recorder events (cache
-	// hit/miss, slow-cell, error).
+	// Events receives flight-recorder events (cache hit/miss, slow-cell,
+	// error); nil drops them.
 	Events *obs.Ring
 	// SlowCell, when positive, is the wall-clock threshold beyond which a
 	// completed cell is recorded as a slow_cell event.
@@ -52,7 +52,7 @@ type LocalConfig struct {
 type Local struct {
 	sched    *sched.Scheduler
 	probe    *pipeline.Probe
-	events   *obs.Ring   // nil without LocalConfig.Events
+	events   *obs.Ring
 	store    store.Store // nil without LocalConfig.Store
 	slowCell time.Duration
 	cells    atomic.Uint64
@@ -78,13 +78,6 @@ func NewLocal(cfg LocalConfig) *Local {
 	}
 }
 
-// record appends one flight-recorder event when a ring is configured.
-func (l *Local) record(e obs.Event) {
-	if l.events != nil {
-		l.events.Add(e)
-	}
-}
-
 // Run executes one cell on the pool, waiting for completion or ctx.
 func (l *Local) Run(ctx context.Context, c eval.Cell) (eval.Result, error) {
 	if err := c.Validate(); err != nil {
@@ -96,7 +89,7 @@ func (l *Local) Run(ctx context.Context, c eval.Cell) (eval.Result, error) {
 	j, err := l.sched.Submit(CellTask(c, l.store, l.probe, nil))
 	if err != nil {
 		l.failed.Add(1)
-		l.record(obs.Event{Kind: obs.EventError, Worker: "local", Cell: cellName,
+		l.events.Add(obs.Event{Kind: obs.EventError, Worker: "local", Cell: cellName,
 			Trace: trace, Detail: err.Error()})
 		return eval.Result{}, err
 	}
@@ -117,10 +110,10 @@ func (l *Local) Run(ctx context.Context, c eval.Cell) (eval.Result, error) {
 			kind = obs.EventCacheHit
 		}
 		d := time.Since(start)
-		l.record(obs.Event{Kind: kind, Worker: "local", Cell: cellName,
+		l.events.Add(obs.Event{Kind: kind, Worker: "local", Cell: cellName,
 			Trace: trace, Seconds: d.Seconds()})
 		if !st.Cached && l.slowCell > 0 && d > l.slowCell {
-			l.record(obs.Event{Kind: obs.EventSlowCell, Worker: "local", Cell: cellName,
+			l.events.Add(obs.Event{Kind: obs.EventSlowCell, Worker: "local", Cell: cellName,
 				Trace: trace, Seconds: d.Seconds(),
 				Detail: fmt.Sprintf("exceeded %s threshold", l.slowCell)})
 		}
@@ -131,7 +124,7 @@ func (l *Local) Run(ctx context.Context, c eval.Cell) (eval.Result, error) {
 		return eval.Result{}, context.Canceled
 	default:
 		l.failed.Add(1)
-		l.record(obs.Event{Kind: obs.EventError, Worker: "local", Cell: cellName,
+		l.events.Add(obs.Event{Kind: obs.EventError, Worker: "local", Cell: cellName,
 			Trace: trace, Detail: st.Error})
 		return eval.Result{}, errors.New(st.Error)
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -183,6 +184,31 @@ func TestFleetRetrySpansAndEvents(t *testing.T) {
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("hop histogram missing %q:\n%s", want, sb.String())
+		}
+	}
+
+	// Each worker's ledger is its exposed series: Stats and /metrics read
+	// the same counters and the same health bit.
+	ws := f.Stats().Workers
+	if len(ws) != 2 || ws[0].Healthy || ws[0].Requeued != 1 || ws[0].Retried != 1 ||
+		!ws[1].Healthy || ws[1].Dispatched != 3 {
+		t.Fatalf("worker ledgers = %+v, want the bad worker quarantined once and the good one serving 3", ws)
+	}
+	for _, w := range ws {
+		healthy := 0
+		if w.Healthy {
+			healthy = 1
+		}
+		for series, v := range map[string]uint64{
+			"elf_exec_cells_dispatched_total": w.Dispatched,
+			"elf_exec_cells_retried_total":    w.Retried,
+			"elf_exec_cells_requeued_total":   w.Requeued,
+			"elf_exec_worker_healthy":         uint64(healthy),
+		} {
+			line := fmt.Sprintf("\n%s{worker=%q} %d\n", series, w.Addr, v)
+			if !strings.Contains(sb.String(), line) {
+				t.Errorf("exposition lacks %q", strings.TrimSpace(line))
+			}
 		}
 	}
 }

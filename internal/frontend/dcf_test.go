@@ -262,8 +262,11 @@ func TestDCFCondUsesTAGEAndCheckpoints(t *testing.T) {
 	if !b.TermTaken || b.NextPC != tgt || b.Count != 4 {
 		t.Fatalf("cond-taken block = %+v", b)
 	}
-	br := b.TakenBranch()
-	if br == nil || !br.HasTage {
+	if b.NumBr == 0 {
+		t.Fatal("taken block records no branch")
+	}
+	br := &b.Brs[b.NumBr-1] // the terminating taken branch
+	if !br.HasTage {
 		t.Fatal("taken branch missing TAGE payload")
 	}
 	// The history checkpoint must predate the branch's own update.

@@ -63,14 +63,6 @@ type FAQBlock struct {
 // End returns the address one past the block.
 func (b *FAQBlock) End() isa.Addr { return b.Start.Plus(b.Count) }
 
-// TakenBranch returns the terminating taken branch, if TermTaken.
-func (b *FAQBlock) TakenBranch() *BlockBranch {
-	if !b.TermTaken || b.NumBr == 0 {
-		return nil
-	}
-	return &b.Brs[b.NumBr-1]
-}
-
 // FAQ is the fetch address queue (Table II: 32-entry FIFO).
 type FAQ struct {
 	blocks []FAQBlock

@@ -245,10 +245,10 @@ type FederationConfig struct {
 	Client *http.Client
 	// Path is the exposition endpoint (0 = "/metrics").
 	Path string
-	// Metrics, when non-nil, receives the federation's own counters
-	// (elf_fed_scrapes_total, elf_fed_scrape_errors_total,
-	// elf_fed_worker_up) — on a coordinator this is its main registry, so
-	// scrape health shows up in the fleet view itself.
+	// Metrics exposes the federation's own series (elf_fed_scrapes_total,
+	// elf_fed_scrape_errors_total, elf_fed_worker_up) — on a coordinator
+	// this is its main registry, so scrape health shows up in the fleet
+	// view itself. Nil keeps them unexposed.
 	Metrics *Registry
 }
 
@@ -259,9 +259,8 @@ type fedWorkerState struct {
 	lastErr    string
 	families   []*fedFamily
 
-	mScrapes *Counter
-	mErrors  *Counter
-	mUp      *Gauge
+	scrapes  *Counter
+	failures *Counter
 }
 
 // Federation scrapes worker /metrics endpoints and serves the merged
@@ -287,16 +286,23 @@ func NewFederation(cfg FederationConfig) *Federation {
 	for i, addr := range cfg.Workers {
 		addr = strings.TrimRight(addr, "/")
 		cfg.Workers[i] = addr
-		st := &fedWorkerState{}
-		if cfg.Metrics != nil {
-			lbl := L("worker", addr)
-			st.mScrapes = cfg.Metrics.Counter("elf_fed_scrapes_total",
-				"Completed federation scrapes of a worker's /metrics.", lbl)
-			st.mErrors = cfg.Metrics.Counter("elf_fed_scrape_errors_total",
-				"Federation scrapes that failed.", lbl)
-			st.mUp = cfg.Metrics.Gauge("elf_fed_worker_up",
-				"1 while the worker's last federation scrape succeeded.", lbl)
+		lbl := L("worker", addr)
+		st := &fedWorkerState{
+			scrapes: cfg.Metrics.Counter("elf_fed_scrapes_total",
+				"Completed federation scrapes of a worker's /metrics.", lbl),
+			failures: cfg.Metrics.Counter("elf_fed_scrape_errors_total",
+				"Federation scrapes that failed.", lbl),
 		}
+		cfg.Metrics.GaugeFunc("elf_fed_worker_up",
+			"1 while the worker's last federation scrape succeeded.",
+			func() float64 {
+				f.mu.Lock()
+				defer f.mu.Unlock()
+				if st.up {
+					return 1
+				}
+				return 0
+			}, lbl)
 		f.state[addr] = st
 	}
 	return f
@@ -347,12 +353,7 @@ func (f *Federation) UpdateFrom(worker string, r io.Reader) error {
 	st.up = true
 	st.lastScrape = time.Now()
 	st.lastErr = ""
-	if st.mScrapes != nil {
-		st.mScrapes.Inc()
-	}
-	if st.mUp != nil {
-		st.mUp.SetBool(true)
-	}
+	st.scrapes.Inc()
 	return nil
 }
 
@@ -366,12 +367,7 @@ func (f *Federation) markDown(worker string, err error) {
 	}
 	st.up = false
 	st.lastErr = err.Error()
-	if st.mErrors != nil {
-		st.mErrors.Inc()
-	}
-	if st.mUp != nil {
-		st.mUp.SetBool(false)
-	}
+	st.failures.Inc()
 }
 
 // FedWorker is one worker's federation status for /debug/stats.

@@ -7,8 +7,18 @@
 // Metrics are created through a Registry and identified by a family name
 // plus an optional constant label set. Creation is idempotent: asking for
 // the same (name, labels) returns the existing metric, which lets
-// independent components share a family ("elfd_variant_runs_total" with
-// one label value per variant) without coordination.
+// independent components share a family ("elfd_runs_total" with one
+// label value per configuration) without coordination.
+//
+// A component keeps each of its counts in exactly one metric and reads it
+// back for its Stats(), so Stats() and /metrics cannot drift. Two
+// components given one registry therefore share a metric, and so a
+// Stats() count, wherever they register the same name and labels.
+//
+// Optional sinks are no-ops, so callers never check them for nil: on a
+// nil *Registry, Counter, Gauge and Histogram return a working metric
+// that nothing exposes and GaugeFunc does nothing; on a nil *Ring, Add
+// drops the event and Dump writes nothing.
 package obs
 
 import (
@@ -50,16 +60,6 @@ type Gauge struct {
 
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// SetBool sets 1 for true, 0 for false — the Prometheus convention for
-// binary state gauges ("worker_healthy" and friends).
-func (g *Gauge) SetBool(v bool) {
-	if v {
-		g.Set(1)
-	} else {
-		g.Set(0)
-	}
-}
 
 // Add increments the value by d (CAS loop; gauges are not hot-path).
 func (g *Gauge) Add(d float64) {
@@ -265,8 +265,11 @@ func (r *Registry) lookup(name, help, typ string, labels []Label) *child {
 }
 
 // Counter returns the counter for (name, labels), creating it on first
-// use.
+// use. A nil registry returns a fresh counter that nothing exposes.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
+	if r == nil {
+		return &Counter{}
+	}
 	c := r.lookup(name, help, typeCounter, labels)
 	if c.ctr == nil {
 		c.ctr = &Counter{}
@@ -274,8 +277,12 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return c.ctr
 }
 
-// Gauge returns the settable gauge for (name, labels).
+// Gauge returns the settable gauge for (name, labels). A nil registry
+// returns a fresh gauge that nothing exposes.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
+	if r == nil {
+		return &Gauge{}
+	}
 	c := r.lookup(name, help, typeGauge, labels)
 	if c.gauge == nil {
 		c.gauge = &Gauge{}
@@ -284,22 +291,55 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 }
 
 // GaugeFunc registers a computed gauge: f is evaluated at exposition
-// time. Re-registering the same (name, labels) replaces the function.
+// time. Re-registering the same (name, labels) replaces the function. On
+// a nil registry it does nothing.
 func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...Label) {
+	if r == nil {
+		return
+	}
 	c := r.lookup(name, help, typeGauge, labels)
 	c.gfunc = f
 }
 
 // Histogram returns the histogram for (name, labels), creating it with
 // the given bucket upper bounds on first use (bounds are sorted; later
-// calls may pass nil to retrieve the existing histogram).
+// calls may pass nil to retrieve the existing histogram). A nil registry
+// returns a fresh histogram that nothing exposes.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
+	if r == nil {
+		return newHistogram(bounds)
+	}
 	c := r.lookup(name, help, typeHistogram, labels)
 	if c.hist == nil {
-		bs := append([]float64(nil), bounds...)
-		sort.Float64s(bs)
-		h := &Histogram{bounds: bs, counts: make([]atomic.Uint64, len(bs)+1)}
-		c.hist = h
+		c.hist = newHistogram(bounds)
 	}
 	return c.hist
+}
+
+// newHistogram builds an empty histogram over a sorted copy of bounds.
+func newHistogram(bounds []float64) *Histogram {
+	bs := append([]float64(nil), bounds...)
+	sort.Float64s(bs)
+	return &Histogram{bounds: bs, counts: make([]atomic.Uint64, len(bs)+1)}
+}
+
+// CounterValues returns the value of every counter in family name, keyed
+// by each counter's value for label: the read side of a one-label family
+// such as elfd_runs_total{config}. A missing family yields an empty map.
+func (r *Registry) CounterValues(name, label string) map[string]uint64 {
+	out := map[string]uint64{}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, ok := r.families[name]
+	if !ok || f.typ != typeCounter {
+		return out
+	}
+	for _, c := range f.children {
+		for _, l := range c.labels {
+			if l.Name == label {
+				out[l.Value] = c.ctr.Value()
+			}
+		}
+	}
+	return out
 }

@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -146,16 +149,94 @@ func TestHistogramExpositionUnderConcurrentObservers(t *testing.T) {
 	wg.Wait()
 }
 
-func TestGaugeSetBool(t *testing.T) {
-	r := NewRegistry()
-	g := r.Gauge("healthy", "")
-	g.SetBool(true)
-	if g.Value() != 1 {
-		t.Errorf("SetBool(true) = %v, want 1", g.Value())
+// TestNilSinksAreNoOps pins the rule that lets components skip nil
+// checks: a metric from a nil registry works but is private to its caller
+// (asking again returns a fresh one, so no exposition can list it),
+// GaugeFunc on a nil registry never evaluates its function, and a nil
+// ring drops events and dumps nothing.
+func TestNilSinksAreNoOps(t *testing.T) {
+	var none *Registry
+	for _, tc := range []struct {
+		name string
+		use  func() error
+	}{
+		{"counter", func() error {
+			c := none.Counter("n_total", "", L("k", "v"))
+			c.Add(2)
+			c.Inc()
+			if c.Value() != 3 {
+				return fmt.Errorf("value %d, want 3", c.Value())
+			}
+			if none.Counter("n_total", "", L("k", "v")) == c {
+				return fmt.Errorf("a nil registry handed out one counter twice")
+			}
+			return nil
+		}},
+		{"gauge", func() error {
+			g := none.Gauge("n_gauge", "")
+			g.Set(2.5)
+			g.Add(1)
+			if g.Value() != 3.5 {
+				return fmt.Errorf("value %v, want 3.5", g.Value())
+			}
+			if none.Gauge("n_gauge", "") == g {
+				return fmt.Errorf("a nil registry handed out one gauge twice")
+			}
+			return nil
+		}},
+		{"histogram", func() error {
+			h := none.Histogram("n_seconds", "", []float64{2, 1})
+			h.Observe(1)
+			h.Observe(3)
+			s := h.Snapshot()
+			if !reflect.DeepEqual(s.Bounds, []float64{1, 2}) ||
+				!reflect.DeepEqual(s.Counts, []uint64{1, 0, 1}) || s.Sum != 4 {
+				return fmt.Errorf("snapshot %+v, want bounds [1 2], counts [1 0 1], sum 4", s)
+			}
+			if none.Histogram("n_seconds", "", nil) == h {
+				return fmt.Errorf("a nil registry handed out one histogram twice")
+			}
+			return nil
+		}},
+		{"gauge func", func() error {
+			evaluated := false
+			none.GaugeFunc("n_func", "", func() float64 { evaluated = true; return 1 })
+			if evaluated {
+				return fmt.Errorf("GaugeFunc on a nil registry evaluated its function")
+			}
+			return nil
+		}},
+		{"ring", func() error {
+			var r *Ring
+			r.Add(Event{Kind: EventDispatch})
+			var buf bytes.Buffer
+			r.Dump(&buf)
+			if buf.Len() != 0 {
+				return fmt.Errorf("nil ring dumped %q", buf.String())
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.use(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
-	g.SetBool(false)
-	if g.Value() != 0 {
-		t.Errorf("SetBool(false) = %v, want 0", g.Value())
+}
+
+func TestCounterValues(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("runs_total", "", L("config", "DCF")).Add(2)
+	r.Counter("runs_total", "", L("config", "U-ELF")).Inc()
+	r.Gauge("depth", "", L("config", "DCF")).Set(9)
+	if got, want := r.CounterValues("runs_total", "config"), map[string]uint64{"DCF": 2, "U-ELF": 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("runs_total = %v, want %v", got, want)
+	}
+	for _, name := range []string{"depth", "missing_total"} {
+		if got := r.CounterValues(name, "config"); len(got) != 0 {
+			t.Errorf("%s = %v, want empty", name, got)
+		}
 	}
 }
 

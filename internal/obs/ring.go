@@ -89,8 +89,11 @@ func NewRing(size int) *Ring {
 }
 
 // Add records one event, stamping Seq (and At, when zero). It is safe
-// from any goroutine and never blocks.
+// from any goroutine and never blocks. A nil ring drops the event.
 func (r *Ring) Add(e Event) {
+	if r == nil {
+		return
+	}
 	if e.At.IsZero() {
 		e.At = time.Now()
 	}

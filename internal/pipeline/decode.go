@@ -317,6 +317,9 @@ func (m *Machine) decodeElfCoupled(now uint64, u *uop.Uop) bool {
 		// discarded (Section IV-B1 case 2b); the caller squashes the
 		// in-flight groups, and the binding rewinds so the successor
 		// refetches once the DCF takes over.
+		if fetch, decode, _ := m.elf.Counts(); fetch > decode {
+			m.elf.OvershootSquashes++
+		}
 		if !u.WrongPath {
 			m.fetchSeq = u.Seq + 1
 			m.onWrongPath = false

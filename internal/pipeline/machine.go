@@ -525,6 +525,7 @@ func (m *Machine) ResetStats() {
 	m.elf.Divergences = [4]uint64{}
 	m.elf.ResyncSwitches = 0
 	m.elf.ResyncPops = 0
+	m.elf.OvershootSquashes = 0
 	m.be.Committed = 0
 	m.be.WrongPathExec = 0
 	m.be.LoadViolations = 0

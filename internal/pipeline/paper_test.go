@@ -86,6 +86,25 @@ func TestCoupledPeriodInstrumentation(t *testing.T) {
 	}
 }
 
+// TestCaseTwoBOvershootSquashCounted checks that the Section IV-B1 case-2b
+// squash is counted where the machine performs it: L-ELF fetches blindly
+// past control decisions, so on a branchy workload decode stalls at some
+// of them with an overshoot behind, and each such stall counts one
+// overshoot squash. Like the other ELF counters it covers only the
+// measured region.
+func TestCaseTwoBOvershootSquashCounted(t *testing.T) {
+	m := mustWorkloadMachine(t, DefaultConfig().WithVariant(core.LELF), "641.leela_s")
+	m.Run(20_000)
+	m.ResetStats()
+	if n := m.ELF().OvershootSquashes; n != 0 {
+		t.Fatalf("ResetStats left %d overshoot squashes", n)
+	}
+	m.Run(100_000)
+	if elf := m.ELF(); elf.OvershootSquashes == 0 {
+		t.Errorf("no overshoot squashes in %d coupled periods", elf.Periods)
+	}
+}
+
 // TestWatchdogRateNegligible bounds the residual recovery-interaction rate:
 // forced restarts must stay far below one per thousand committed
 // instructions on a hostile workload mix.

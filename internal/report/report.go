@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -40,24 +39,6 @@ func (t *Table) Add(cells ...string) *Table {
 // Note appends a trailing note line.
 func (t *Table) Note(s string) *Table {
 	t.Notes = append(t.Notes, s)
-	return t
-}
-
-// SortBy orders rows by the given column (lexicographic; numeric cells
-// compare numerically when both parse).
-func (t *Table) SortBy(col int) *Table {
-	if col < 0 || col >= len(t.Columns) {
-		panic("report: sort column out of range")
-	}
-	sort.SliceStable(t.Rows, func(i, j int) bool {
-		a, b := t.Rows[i][col], t.Rows[j][col]
-		fa, ea := strconv.ParseFloat(a, 64)
-		fb, eb := strconv.ParseFloat(b, 64)
-		if ea == nil && eb == nil {
-			return fa < fb
-		}
-		return a < b
-	})
 	return t
 }
 

@@ -75,21 +75,6 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 	}
 }
 
-func TestSortByNumericAndLexicographic(t *testing.T) {
-	tb := New("", "name", "v").
-		Add("b", "10").
-		Add("a", "9").
-		Add("c", "2")
-	tb.SortBy(1)
-	if tb.Rows[0][1] != "2" || tb.Rows[2][1] != "10" {
-		t.Errorf("numeric sort: %v", tb.Rows)
-	}
-	tb.SortBy(0)
-	if tb.Rows[0][0] != "a" || tb.Rows[2][0] != "c" {
-		t.Errorf("lexicographic sort: %v", tb.Rows)
-	}
-}
-
 func TestAddPanicsOnArity(t *testing.T) {
 	defer func() {
 		if recover() == nil {

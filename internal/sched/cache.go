@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+
+	"elfetch/internal/obs"
 )
 
 // Key content-addresses a job: it hashes the JSON encoding of its parts
@@ -32,8 +34,8 @@ type Cache struct {
 	order   *list.List               // front = most recent
 	entries map[string]*list.Element // key -> element whose Value is *cacheEntry
 	bytes   int64                    // sum of entry approxSize
-	hits    uint64
-	misses  uint64
+	hits    *obs.Counter             // elf_cache_requests_total{result="hit"}
+	misses  *obs.Counter             // elf_cache_requests_total{result="miss"}
 }
 
 type cacheEntry struct {
@@ -56,13 +58,20 @@ func approxSize(key string, value any) int64 {
 	return n
 }
 
-// NewCache returns an LRU cache holding at most max results (max <= 0
-// selects the 512-entry default).
-func NewCache(max int) *Cache {
+// newCache returns an LRU cache holding at most max results (max <= 0
+// selects the 512-entry default) that counts its lookups on reg. One
+// family serves exec.Local and the elfd worker path (both wire their
+// scheduler here), so federated views sum a single series.
+func newCache(max int, reg *obs.Registry) *Cache {
 	if max <= 0 {
 		max = 512
 	}
-	return &Cache{max: max, order: list.New(), entries: make(map[string]*list.Element)}
+	lookups := func(result string) *obs.Counter {
+		return reg.Counter("elf_cache_requests_total", "Result-cache lookups, by result.",
+			obs.L("result", result))
+	}
+	return &Cache{max: max, order: list.New(), entries: make(map[string]*list.Element),
+		hits: lookups("hit"), misses: lookups("miss")}
 }
 
 // Get returns the cached value for key, counting a hit or a miss.
@@ -71,10 +80,10 @@ func (c *Cache) Get(key string) (any, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
+		c.misses.Inc()
 		return nil, false
 	}
-	c.hits++
+	c.hits.Inc()
 	c.order.MoveToFront(el)
 	return el.Value.(*cacheEntry).value, true
 }
@@ -123,5 +132,5 @@ type CacheStats struct {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Entries: c.order.Len(), Bytes: c.bytes, Hits: c.hits, Misses: c.misses}
+	return CacheStats{Entries: c.order.Len(), Bytes: c.bytes, Hits: c.hits.Value(), Misses: c.misses.Value()}
 }

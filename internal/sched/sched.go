@@ -53,9 +53,9 @@ type Config struct {
 	JobTimeout time.Duration
 	// CacheSize bounds the result cache (0 = 512 entries).
 	CacheSize int
-	// Metrics, when non-nil, receives the scheduler's operational metrics
-	// (queue depth, job latency, cache hit/miss, per-outcome job counts)
-	// as Prometheus-exposable registry entries.
+	// Metrics exposes the scheduler's operational metrics (queue depth,
+	// job latency, cache hit/miss, per-outcome job counts). Stats reads
+	// the same counters, so nil only keeps them unexposed.
 	Metrics *obs.Registry
 }
 
@@ -193,64 +193,6 @@ type Stats struct {
 	Cache          CacheStats `json:"cache"`
 }
 
-// metrics is the scheduler's registry wiring (nil when Config.Metrics is
-// nil; every use is behind a nil check).
-type metrics struct {
-	submitted  *obs.Counter
-	coalesced  *obs.Counter
-	done       *obs.Counter
-	failed     *obs.Counter
-	canceled   *obs.Counter
-	cacheHit   *obs.Counter
-	cacheMiss  *obs.Counter
-	jobSeconds *obs.Histogram
-}
-
-// newMetrics registers the scheduler's metric families on reg. Gauges are
-// computed at scrape time from the scheduler itself.
-func newMetrics(reg *obs.Registry, s *Scheduler) *metrics {
-	m := &metrics{
-		submitted: reg.Counter("elfd_sched_jobs_submitted_total",
-			"Jobs accepted into the queue."),
-		coalesced: reg.Counter("elfd_sched_jobs_coalesced_total",
-			"Submissions that joined an identical in-flight job."),
-		done: reg.Counter("elfd_sched_jobs_total",
-			"Jobs finished, by outcome.", obs.L("outcome", "done")),
-		failed: reg.Counter("elfd_sched_jobs_total",
-			"Jobs finished, by outcome.", obs.L("outcome", "failed")),
-		canceled: reg.Counter("elfd_sched_jobs_total",
-			"Jobs finished, by outcome.", obs.L("outcome", "canceled")),
-		// One family across exec.Local and the elfd worker path (both wire
-		// their scheduler here), so federated views sum a single series.
-		cacheHit: reg.Counter("elf_cache_requests_total",
-			"Result-cache lookups, by result.", obs.L("result", "hit")),
-		cacheMiss: reg.Counter("elf_cache_requests_total",
-			"Result-cache lookups, by result.", obs.L("result", "miss")),
-		jobSeconds: reg.Histogram("elfd_sched_job_seconds",
-			"Wall-clock runtime of executed jobs.",
-			obs.ExpBuckets(0.005, 4, 8)),
-	}
-	reg.GaugeFunc("elfd_sched_queue_depth",
-		"Jobs queued but not yet running.",
-		func() float64 { return float64(len(s.queue)) })
-	reg.GaugeFunc("elfd_sched_queue_high_water",
-		"Deepest queue occupancy since start.",
-		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.queueHW) })
-	reg.GaugeFunc("elfd_sched_running",
-		"Jobs currently executing.",
-		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.running) })
-	reg.GaugeFunc("elfd_sched_workers",
-		"Worker-pool size.",
-		func() float64 { return float64(s.cfg.Workers) })
-	reg.GaugeFunc("elfd_sched_cache_entries",
-		"Live result-cache entries.",
-		func() float64 { return float64(s.cache.Len()) })
-	reg.GaugeFunc("elfd_sched_cache_bytes",
-		"Approximate result-cache footprint (keys + JSON-encoded values).",
-		func() float64 { return float64(s.cache.Stats().Bytes) })
-	return m
-}
-
 // retainFinished is how many finished jobs stay reachable through Get.
 // Older finished jobs are forgotten so a long-lived server's job table
 // stays bounded; queued and running jobs are never forgotten.
@@ -277,16 +219,17 @@ type Scheduler struct {
 	seq      uint64
 	closed   bool
 
-	running     int
-	queueHW     int
-	submitted   uint64
-	completed   uint64
-	failed      uint64
-	canceled    uint64
-	coalesced   uint64
-	taskSeconds float64
+	running int
+	queueHW int
 
-	met *metrics // nil unless Config.Metrics was set
+	// The counts behind Stats live in these metrics, exposed on
+	// Config.Metrics.
+	submitted  *obs.Counter
+	coalesced  *obs.Counter
+	completed  *obs.Counter
+	failed     *obs.Counter
+	canceled   *obs.Counter
+	jobSeconds *obs.Histogram // its sum is Stats.TaskSeconds
 }
 
 // New starts a scheduler sized by cfg.
@@ -298,18 +241,47 @@ func New(cfg Config) *Scheduler {
 		cfg.QueueDepth = 64
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	reg := cfg.Metrics
+	outcome := func(o string) *obs.Counter {
+		return reg.Counter("elfd_sched_jobs_total", "Jobs finished, by outcome.", obs.L("outcome", o))
+	}
 	s := &Scheduler{
 		cfg:      cfg,
-		cache:    NewCache(cfg.CacheSize),
+		cache:    newCache(cfg.CacheSize, reg),
 		queue:    make(chan *Job, cfg.QueueDepth),
 		base:     ctx,
 		cancel:   cancel,
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
+		submitted: reg.Counter("elfd_sched_jobs_submitted_total",
+			"Jobs accepted into the queue."),
+		coalesced: reg.Counter("elfd_sched_jobs_coalesced_total",
+			"Submissions that joined an identical in-flight job."),
+		completed: outcome("done"),
+		failed:    outcome("failed"),
+		canceled:  outcome("canceled"),
+		jobSeconds: reg.Histogram("elfd_sched_job_seconds",
+			"Wall-clock runtime of executed jobs.",
+			obs.ExpBuckets(0.005, 4, 8)),
 	}
-	if cfg.Metrics != nil {
-		s.met = newMetrics(cfg.Metrics, s)
-	}
+	reg.GaugeFunc("elfd_sched_queue_depth",
+		"Jobs queued but not yet running.",
+		func() float64 { return float64(len(s.queue)) })
+	reg.GaugeFunc("elfd_sched_queue_high_water",
+		"Deepest queue occupancy since start.",
+		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.queueHW) })
+	reg.GaugeFunc("elfd_sched_running",
+		"Jobs currently executing.",
+		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.running) })
+	reg.GaugeFunc("elfd_sched_workers",
+		"Worker-pool size.",
+		func() float64 { return float64(s.cfg.Workers) })
+	reg.GaugeFunc("elfd_sched_cache_entries",
+		"Live result-cache entries.",
+		func() float64 { return float64(s.cache.Len()) })
+	reg.GaugeFunc("elfd_sched_cache_bytes",
+		"Approximate result-cache footprint (keys + JSON-encoded values).",
+		func() float64 { return float64(s.cache.Stats().Bytes) })
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -330,9 +302,6 @@ func (s *Scheduler) Submit(label, key string, task Task) (*Job, error) {
 	}
 	if key != "" {
 		if v, ok := s.cache.Get(key); ok {
-			if s.met != nil {
-				s.met.cacheHit.Inc()
-			}
 			j := s.newJobLocked(label, key)
 			j.cached = true
 			j.mu.Lock()
@@ -341,19 +310,13 @@ func (s *Scheduler) Submit(label, key string, task Task) (*Job, error) {
 			s.retainLocked(j.id)
 			return j, nil
 		}
-		if s.met != nil {
-			s.met.cacheMiss.Inc()
-		}
 		// A cancelled job stays in flight until its task returns; a new
 		// submission must not inherit that cancellation.
 		if infl, ok := s.inflight[key]; ok && infl.ctx.Err() == nil {
 			infl.mu.Lock()
 			infl.submitters++
 			infl.mu.Unlock()
-			s.coalesced++
-			if s.met != nil {
-				s.met.coalesced.Inc()
-			}
+			s.coalesced.Inc()
 			return infl, nil
 		}
 	}
@@ -368,12 +331,9 @@ func (s *Scheduler) Submit(label, key string, task Task) (*Job, error) {
 	if key != "" {
 		s.inflight[key] = j
 	}
-	s.submitted++
+	s.submitted.Inc()
 	if depth := len(s.queue); depth > s.queueHW {
 		s.queueHW = depth
-	}
-	if s.met != nil {
-		s.met.submitted.Inc()
 	}
 	return j, nil
 }
@@ -428,12 +388,12 @@ func (s *Scheduler) Stats() Stats {
 		QueueDepth:     s.cfg.QueueDepth,
 		Queued:         len(s.queue),
 		Running:        s.running,
-		Submitted:      s.submitted,
-		Completed:      s.completed,
-		Failed:         s.failed,
-		Canceled:       s.canceled,
-		Coalesced:      s.coalesced,
-		TaskSeconds:    s.taskSeconds,
+		Submitted:      s.submitted.Value(),
+		Completed:      s.completed.Value(),
+		Failed:         s.failed.Value(),
+		Canceled:       s.canceled.Value(),
+		Coalesced:      s.coalesced.Value(),
+		TaskSeconds:    s.jobSeconds.Sum(),
 		QueueHighWater: s.queueHW,
 		Cache:          s.cache.Stats(),
 	}
@@ -524,27 +484,15 @@ func (s *Scheduler) retire(j *Job, state State, seconds float64, ran bool) {
 	s.retainLocked(j.id)
 	if ran {
 		s.running--
-		if s.met != nil {
-			s.met.jobSeconds.Observe(seconds)
-		}
+		s.jobSeconds.Observe(seconds)
 	}
-	s.taskSeconds += seconds
 	switch state {
 	case Done:
-		s.completed++
-		if s.met != nil {
-			s.met.done.Inc()
-		}
+		s.completed.Inc()
 	case Failed:
-		s.failed++
-		if s.met != nil {
-			s.met.failed.Inc()
-		}
+		s.failed.Inc()
 	case Canceled:
-		s.canceled++
-		if s.met != nil {
-			s.met.canceled.Inc()
-		}
+		s.canceled.Inc()
 	}
 }
 

@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"elfetch/internal/obs"
 )
 
 func waitDone(t *testing.T, j *Job) JobStatus {
@@ -258,6 +262,84 @@ func TestFinishedJobsRetiredBeyondWindow(t *testing.T) {
 			t.Errorf("job table holds %d, want %d", n, retainFinished)
 		}
 	})
+}
+
+// TestStatsMatchExposedSeries pins that Stats and /metrics read one
+// source: after a fresh job, a coalesced submission, a cache hit, a
+// failure and a cancellation, every Stats count equals its exposed series.
+func TestStatsMatchExposedSeries(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Config{Workers: 1, Metrics: reg})
+	defer s.Shutdown(context.Background())
+
+	key := Key("fresh")
+	release := make(chan struct{})
+	fresh, err := s.Submit("fresh", key, func(ctx context.Context) (any, error) {
+		<-release
+		return "v", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if joined, err := s.Submit("joined", key, nil); err != nil || joined != fresh {
+		t.Fatalf("second submit did not coalesce: %v", err)
+	}
+	close(release)
+	waitDone(t, fresh)
+	hit, err := s.Submit("hit", key, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := hit.Status(); !st.Cached {
+		t.Fatalf("third submit not a cache hit: %+v", st)
+	}
+	failed, err := s.Submit("fail", "", func(ctx context.Context) (any, error) {
+		return nil, errors.New("boom")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, failed)
+	started := make(chan struct{})
+	canceled, err := s.Submit("cancel", "", func(ctx context.Context) (any, error) {
+		close(started)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	canceled.Cancel()
+	waitDone(t, canceled)
+	waitRetired(t, s, func(st Stats) bool { return st.Completed+st.Failed+st.Canceled == 3 })
+
+	st := s.Stats()
+	if st.Submitted != 3 || st.Coalesced != 1 || st.Completed != 1 || st.Failed != 1 ||
+		st.Canceled != 1 || st.Cache.Hits != 1 || st.Cache.Misses != 2 {
+		t.Fatalf("stats = %+v", st)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for series, v := range map[string]string{
+		"elfd_sched_jobs_submitted_total":           fmt.Sprint(st.Submitted),
+		"elfd_sched_jobs_coalesced_total":           fmt.Sprint(st.Coalesced),
+		`elfd_sched_jobs_total{outcome="done"}`:     fmt.Sprint(st.Completed),
+		`elfd_sched_jobs_total{outcome="failed"}`:   fmt.Sprint(st.Failed),
+		`elfd_sched_jobs_total{outcome="canceled"}`: fmt.Sprint(st.Canceled),
+		`elf_cache_requests_total{result="hit"}`:    fmt.Sprint(st.Cache.Hits),
+		`elf_cache_requests_total{result="miss"}`:   fmt.Sprint(st.Cache.Misses),
+		"elfd_sched_job_seconds_sum":                strconv.FormatFloat(st.TaskSeconds, 'g', -1, 64),
+		"elfd_sched_cache_entries":                  fmt.Sprint(st.Cache.Entries),
+		"elfd_sched_cache_bytes":                    fmt.Sprint(st.Cache.Bytes),
+		"elfd_sched_queue_high_water":               fmt.Sprint(st.QueueHighWater),
+	} {
+		if line := "\n" + series + " " + v + "\n"; !strings.Contains(sb.String(), line) {
+			t.Errorf("exposition lacks %q (Stats says %s):\n%s", series+" "+v, v, sb.String())
+		}
+	}
 }
 
 func TestInflightCoalescing(t *testing.T) {
@@ -624,7 +706,7 @@ func TestKeyFoldsEncodingErrors(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
+	c := newCache(2, nil)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	if _, ok := c.Get("a"); !ok { // touch a: now b is LRU

@@ -45,11 +45,11 @@ type DiskConfig struct {
 	MaxBytes int64
 	// MaxSegmentBytes is the rotation threshold (0 = DefaultSegmentBytes).
 	MaxSegmentBytes int64
-	// Metrics, when non-nil, receives the tier's elf_store_* families
-	// under tier="disk".
+	// Metrics exposes the tier's elf_store_* families under tier="disk".
+	// Stats reads the same counters, so nil only keeps them unexposed.
 	Metrics *obs.Registry
-	// Events, when non-nil, receives store_hit_disk / store_fill /
-	// store_compact flight-recorder events.
+	// Events receives store_hit_disk / store_fill / store_compact
+	// flight-recorder events; nil drops them.
 	Events *obs.Ring
 	// Logger receives torn-tail and corruption warnings (nil =
 	// slog.Default()).
@@ -103,13 +103,13 @@ type Disk struct {
 	seq        uint64
 	closed     bool
 
-	hits        uint64
-	misses      uint64
-	puts        uint64
-	compactions uint64
-	errs        uint64
+	errs uint64
 
-	met *tierMetrics
+	// The elf_store_*_total{tier="disk"} counters behind Stats.
+	hits        *obs.Counter
+	misses      *obs.Counter
+	fills       *obs.Counter
+	compactions *obs.Counter
 }
 
 // errClosed reports an operation on a closed tier.
@@ -145,7 +145,19 @@ func Open(cfg DiskConfig) (*Disk, error) {
 		d.closeFilesLocked()
 		return nil, err
 	}
-	d.met = newTierMetrics(cfg.Metrics, "disk", d.stats)
+	reg, lbl := cfg.Metrics, obs.L("tier", "disk")
+	d.hits = reg.Counter("elf_store_hits_total",
+		"Result-store lookups answered, by tier.", lbl)
+	d.misses = reg.Counter("elf_store_misses_total",
+		"Result-store lookups missed, by tier.", lbl)
+	d.fills = reg.Counter("elf_store_fills_total",
+		"Results written into the store, by tier.", lbl)
+	d.compactions = reg.Counter("elf_store_compactions_total",
+		"Completed compaction passes, by tier.", lbl)
+	reg.GaugeFunc("elf_store_bytes", "Live bytes held, by tier.",
+		func() float64 { return float64(d.stats().Bytes) }, lbl)
+	reg.GaugeFunc("elf_store_entries", "Live entries held, by tier.",
+		func() float64 { return float64(d.stats().Entries) }, lbl)
 	return d, nil
 }
 
@@ -308,11 +320,9 @@ func (d *Disk) syncDir() error {
 	return nil
 }
 
-// record appends one event when a ring is configured.
+// record appends one flight-recorder event.
 func (d *Disk) record(kind, detail string) {
-	if d.cfg.Events != nil {
-		d.cfg.Events.Add(obs.Event{Kind: kind, Worker: "store", Detail: detail})
-	}
+	d.cfg.Events.Add(obs.Event{Kind: kind, Worker: "store", Detail: detail})
 }
 
 // encodeRecord renders one record into a buffer.
@@ -338,16 +348,14 @@ func (d *Disk) Get(key string) ([]byte, bool, error) {
 	}
 	r, ok := d.index[key]
 	if !ok {
-		d.misses++
-		d.met.miss()
+		d.misses.Inc()
 		return nil, false, nil
 	}
 	f := d.files[r.seg]
 	body := make([]byte, r.klen+r.vlen+checksumLen)
 	if _, err := f.ReadAt(body, r.off+recordHeaderLen); err != nil {
 		d.errs++
-		d.misses++
-		d.met.miss()
+		d.misses.Inc()
 		return nil, false, fmt.Errorf("store: reading %s: %w", shortKey(key), err)
 	}
 	sum := sha256.Sum256(body[:r.klen+r.vlen])
@@ -355,14 +363,12 @@ func (d *Disk) Get(key string) ([]byte, bool, error) {
 		delete(d.index, key)
 		d.liveBytes -= r.size()
 		d.errs++
-		d.misses++
-		d.met.miss()
+		d.misses.Inc()
 		d.log.Warn("store: checksum mismatch on read, entry dropped",
 			"key", shortKey(key), "segment", r.seg, "offset", r.off)
 		return nil, false, fmt.Errorf("store: checksum mismatch for %s", shortKey(key))
 	}
-	d.hits++
-	d.met.hit()
+	d.hits.Inc()
 	d.record(obs.EventStoreHitDisk, shortKey(key))
 	return body[r.klen : r.klen+r.vlen], true, nil
 }
@@ -400,8 +406,7 @@ func (d *Disk) Put(key string, value []byte) error {
 	d.liveBytes += newRec.size()
 	d.totalBytes += newRec.size()
 	d.actSize += int64(len(buf))
-	d.puts++
-	d.met.fill()
+	d.fills.Inc()
 	d.record(obs.EventStoreFill, shortKey(key))
 
 	if d.actSize >= d.cfg.MaxSegmentBytes {
@@ -564,8 +569,7 @@ func (d *Disk) compactLocked() error {
 	// The newest compacted segment becomes the append target.
 	d.active = newSegs[len(newSegs)-1]
 	d.actSize = curSize
-	d.compactions++
-	d.met.compaction()
+	d.compactions.Inc()
 	d.record(obs.EventStoreCompact,
 		fmt.Sprintf("kept %d entries (%d evicted), %d segments", len(newIndex), evicted, len(newSegs)))
 	return d.syncDir()
@@ -577,12 +581,12 @@ func (d *Disk) stats() TierStats {
 	defer d.mu.Unlock()
 	return TierStats{
 		Tier:        "disk",
-		Hits:        d.hits,
-		Misses:      d.misses,
-		Puts:        d.puts,
+		Hits:        d.hits.Value(),
+		Misses:      d.misses.Value(),
+		Puts:        d.fills.Value(),
 		Entries:     len(d.index),
 		Bytes:       d.liveBytes,
-		Compactions: d.compactions,
+		Compactions: d.compactions.Value(),
 		Segments:    len(d.segIDs),
 		Errors:      d.errs,
 	}

@@ -22,10 +22,6 @@
 // opaque bytes, so the store never learns what an eval.Result is.
 package store
 
-import (
-	"elfetch/internal/obs"
-)
-
 // Store is a content-addressed result store. Keys are sched.Key content
 // addresses (hex strings); values are opaque bytes (the serving layer
 // stores JSON-encoded results). Implementations must be safe for
@@ -66,63 +62,6 @@ type TierStats struct {
 	Segments int `json:"segments,omitempty"`
 	// Errors counts failed Gets/Puts (I/O trouble, bad checksums).
 	Errors uint64 `json:"errors,omitempty"`
-}
-
-// tierMetrics registers the elf_store_* families for one tier. reg may be
-// nil (no-op wiring).
-type tierMetrics struct {
-	hits        *obs.Counter
-	misses      *obs.Counter
-	fills       *obs.Counter
-	compactions *obs.Counter
-}
-
-// newTierMetrics wires the per-tier store families onto reg. The
-// bytes/entries gauges are computed at scrape time from stats.
-func newTierMetrics(reg *obs.Registry, tier string, stats func() TierStats) *tierMetrics {
-	if reg == nil {
-		return nil
-	}
-	lbl := obs.L("tier", tier)
-	m := &tierMetrics{
-		hits: reg.Counter("elf_store_hits_total",
-			"Result-store lookups answered, by tier.", lbl),
-		misses: reg.Counter("elf_store_misses_total",
-			"Result-store lookups missed, by tier.", lbl),
-		fills: reg.Counter("elf_store_fills_total",
-			"Results written into the store, by tier.", lbl),
-		compactions: reg.Counter("elf_store_compactions_total",
-			"Completed compaction passes, by tier.", lbl),
-	}
-	reg.GaugeFunc("elf_store_bytes", "Live bytes held, by tier.",
-		func() float64 { return float64(stats().Bytes) }, lbl)
-	reg.GaugeFunc("elf_store_entries", "Live entries held, by tier.",
-		func() float64 { return float64(stats().Entries) }, lbl)
-	return m
-}
-
-func (m *tierMetrics) hit() {
-	if m != nil {
-		m.hits.Inc()
-	}
-}
-
-func (m *tierMetrics) miss() {
-	if m != nil {
-		m.misses.Inc()
-	}
-}
-
-func (m *tierMetrics) fill() {
-	if m != nil {
-		m.fills.Inc()
-	}
-}
-
-func (m *tierMetrics) compaction() {
-	if m != nil {
-		m.compactions.Inc()
-	}
 }
 
 // shortKey truncates a content address for event detail fields: the

@@ -323,6 +323,20 @@ func TestDiskMetricsAndEvents(t *testing.T) {
 			t.Errorf("metrics missing %q in:\n%s", want, out)
 		}
 	}
+	// Stats reads the series it exposes.
+	st := d.Stats()[0]
+	for series, v := range map[string]int64{
+		"elf_store_hits_total":        int64(st.Hits),
+		"elf_store_misses_total":      int64(st.Misses),
+		"elf_store_fills_total":       int64(st.Puts),
+		"elf_store_compactions_total": int64(st.Compactions),
+		"elf_store_entries":           int64(st.Entries),
+		"elf_store_bytes":             st.Bytes,
+	} {
+		if line := fmt.Sprintf("\n%s{tier=\"disk\"} %d\n", series, v); !strings.Contains(out, line) {
+			t.Errorf("exposition lacks %q (from Stats %+v)", strings.TrimSpace(line), st)
+		}
+	}
 	kinds := map[string]bool{}
 	for _, e := range ring.Snapshot(0) {
 		kinds[e.Kind] = true

@@ -206,9 +206,6 @@ func (s *Stream) Release(seq uint64) {
 	}
 }
 
-// Generated returns how many records have been produced so far.
-func (s *Stream) Generated() uint64 { return s.next }
-
 // Synth synthesizes wrong-path instruction attributes. It shares the static
 // code but owns scratch state, so wrong-path walks never perturb the oracle.
 // Direction/target *choices* on the wrong path are made by the front-end's

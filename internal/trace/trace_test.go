@@ -135,8 +135,8 @@ func TestStreamReplayAfterSquash(t *testing.T) {
 			t.Fatalf("replay mismatch at %d: %+v vs %+v", i, *d, first[i])
 		}
 	}
-	if s.Generated() != 50 {
-		t.Fatalf("Generated = %d, want 50", s.Generated())
+	if s.next != 50 {
+		t.Fatalf("generated %d records, want 50", s.next)
 	}
 }
 

@@ -64,6 +64,11 @@ go test -race -count=1 -run 'TestFinishedJobsRetiredBeyondWindow|TestFinishedJob
 # and a coordinator sends a sweep's cells through its backend.
 go test -race -count=1 -run TestExperimentRegistry ./internal/eval/
 go test -race -count=1 -run TestCoordinatorDispatchesExperimentCells ./cmd/elfd/
+# One count per fact, race-checked: every Stats() count of the scheduler,
+# the disk store and the fleet workers equals its exposed series, nil
+# registries and rings are no-ops, elfd's run counts are per server, and
+# the case-2b overshoot squash is counted where the pipeline performs it.
+go test -race -count=1 -run 'TestNilSinksAreNoOps|TestCounterValues|TestStatsMatchExposedSeries|TestFleetRetrySpansAndEvents|TestDiskMetricsAndEvents|TestRunCountsArePerServer|TestCaseTwoBOvershootSquashCounted' ./internal/obs/ ./internal/sched/ ./internal/exec/ ./internal/store/ ./cmd/elfd/ ./internal/pipeline/
 # CLI smoke: elfbench has no tests, so this is the gate on its -exp wiring.
 go run ./cmd/elfbench -exp all -warmup 1000 -insts 4000 -format csv >/dev/null
 # In-process CLI smoke: elfsim, elfview and elfbench -hist have no tests,
