@@ -60,42 +60,6 @@ import (
 	"elfetch/internal/store"
 )
 
-// obsSinks carries the observability plumbing shared by every backend
-// variant: one registry, one span log, one flight-recorder ring, plus
-// the optional persistent result store.
-type obsSinks struct {
-	metrics  *obs.Registry
-	spans    *obs.SpanLog
-	events   *obs.Ring
-	slowCell time.Duration
-	store    store.Store
-}
-
-// buildBackend resolves the -fleet flag into an execution backend: an
-// exec.Local with parallel workers, or, when addrs lists fleet workers, a
-// Fleet over them with such a Local as its fallback.
-func buildBackend(addrs []string, parallel int, sinks obsSinks) (exec.Backend, error) {
-	if len(addrs) == 0 {
-		return exec.NewLocal(exec.LocalConfig{
-			Workers:  parallel,
-			Metrics:  sinks.metrics,
-			Events:   sinks.events,
-			SlowCell: sinks.slowCell,
-			Store:    sinks.store,
-		}), nil
-	}
-	return exec.NewFleet(exec.FleetConfig{
-		Workers: addrs,
-		Fallback: exec.NewLocal(exec.LocalConfig{Workers: parallel,
-			Events: sinks.events, SlowCell: sinks.slowCell, Store: sinks.store}),
-		Metrics:  sinks.metrics,
-		Spans:    sinks.spans,
-		Events:   sinks.events,
-		SlowCell: sinks.slowCell,
-		Store:    sinks.store,
-	})
-}
-
 // printStoreStats reports the persistent store's per-tier counters after
 // a run — the warm-restart ledger: an all-hits/zero-puts second run means
 // the store answered everything.
@@ -174,16 +138,15 @@ func main() {
 	}
 
 	p := eval.Params{Warmup: *warmup, Measure: *insts, Parallel: *par}
-	sinks := obsSinks{
-		metrics:  obs.NewRegistry(),
-		spans:    obs.NewSpanLog(0),
-		events:   obs.NewRing(0),
-		slowCell: time.Duration(*slowCellMS) * time.Millisecond,
-	}
-	sinks.spans.Seed(uint64(time.Now().UnixNano()))
+	// The backend's Local carries the registry, flight recorder and store
+	// every cell reports to; the fleet shares them and the span log.
+	lc := exec.LocalConfig{Workers: *par, Metrics: obs.NewRegistry(), Events: obs.NewRing(0),
+		SlowCell: time.Duration(*slowCellMS) * time.Millisecond}
+	spans := obs.NewSpanLog(0)
+	spans.Seed(uint64(time.Now().UnixNano()))
 	flush := func() {
 		if *metricsOut != "" {
-			if err := sinks.metrics.WriteFile(*metricsOut); err != nil {
+			if err := lc.Metrics.WriteFile(*metricsOut); err != nil {
 				fmt.Fprintln(os.Stderr, "metrics-out:", err)
 			}
 		}
@@ -192,7 +155,7 @@ func main() {
 	}
 	fatal := func(err error) {
 		fmt.Fprintln(os.Stderr, err)
-		sinks.events.Dump(os.Stderr)
+		lc.Events.Dump(os.Stderr)
 		flush()
 		os.Exit(1)
 	}
@@ -212,23 +175,23 @@ func main() {
 		d, err := store.Open(store.DiskConfig{
 			Dir:      *storeDir,
 			MaxBytes: *storeMaxBytes,
-			Metrics:  sinks.metrics,
-			Events:   sinks.events,
+			Metrics:  lc.Metrics,
+			Events:   lc.Events,
 		})
 		if err != nil {
 			fatal(err)
 		}
-		sinks.store = d
+		lc.Store = d
 		defer d.Close()
 	}
-	be, err := buildBackend(addrs, *par, sinks)
+	_, be, err := exec.NewBackend(addrs, lc, spans)
 	if err != nil {
 		usage(err)
 	}
 	p.Runner = be
 	// One root span per invocation: every fleet dispatch becomes part of a
 	// single stitched trace (DESIGN.md §14).
-	root := sinks.spans.StartSpan(nil, "grid")
+	root := spans.StartSpan(nil, "grid")
 	root.SetAttr("cmd", "elfbench")
 	ctx = obs.ContextWithSpan(ctx, root)
 	defer func() {
@@ -315,8 +278,8 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if sinks.store != nil && fmtOut == report.Text {
-		printStoreStats(os.Stdout, sinks.store)
+	if lc.Store != nil && fmtOut == report.Text {
+		printStoreStats(os.Stdout, lc.Store)
 	}
 	root.Finish()
 	if *spansOut != "" {
@@ -324,7 +287,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := obs.WriteSpansJSON(f, sinks.spans.Snapshot()); err != nil {
+		if err := obs.WriteSpansJSON(f, spans.Snapshot()); err != nil {
 			f.Close()
 			fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"elfetch/internal/core"
 	"elfetch/internal/eval"
@@ -28,18 +27,12 @@ func openTestStore(t *testing.T) *store.Disk {
 	return d
 }
 
-// storeServer builds a single-node elfd over st the way cmd/elfd's main
+// storeServer builds a one-worker elfd over st the way cmd/elfd's main
 // wires one.
 func storeServer(t *testing.T, st store.Store) *server {
 	t.Helper()
-	opt := withBackend(t, serverOptions{Store: st})
-	s := sched.New(sched.Config{Workers: 1, QueueDepth: 8})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
-	return newServer(s, eval.Params{Warmup: 1_000, Measure: 4_000}, opt)
+	return newTestServer(t, exec.LocalConfig{Workers: 1, QueueDepth: 8},
+		eval.Params{Warmup: 1_000, Measure: 4_000}, serverOptions{Store: st})
 }
 
 // storeWorker serves an elfd worker over st behind httptest.

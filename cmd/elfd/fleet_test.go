@@ -8,17 +8,16 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"elfetch/internal/eval"
 	"elfetch/internal/exec"
 	"elfetch/internal/report"
-	"elfetch/internal/sched"
 	"elfetch/internal/workload"
 )
 
-// fleetWorker boots a full in-process elfd (scheduler + HTTP surface)
-// behind httptest — a real worker, not a stub.
+// fleetWorker boots a full in-process elfd (scheduler + HTTP surface, its
+// own metrics registry) behind httptest — a real worker, not a stub, whose
+// /metrics a coordinator's federation scrapes for real families.
 func fleetWorker(t *testing.T) *httptest.Server {
 	t.Helper()
 	srv, _ := testServer(t)
@@ -231,14 +230,10 @@ func (b *countingBackend) Close() error { return nil }
 // a sweep's cells through its backend like a figure's, rather than
 // simulating them itself.
 func TestCoordinatorDispatchesExperimentCells(t *testing.T) {
-	s := sched.New(sched.Config{Workers: 2, QueueDepth: 8})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
+	local := exec.NewLocal(exec.LocalConfig{Workers: 2, QueueDepth: 8})
+	t.Cleanup(func() { local.Close() })
 	be := &countingBackend{}
-	srv := newServer(s, eval.Params{Warmup: 1_000, Measure: 4_000}, serverOptions{Backend: be})
+	srv := newServer(local, eval.Params{Warmup: 1_000, Measure: 4_000}, serverOptions{Backend: be})
 	rec, _ := doJSON(t, srv, "POST", "/v1/jobs?wait=1", map[string]any{"kind": "sweep-faq"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("sweep-faq job: %d %s", rec.Code, rec.Body.String())

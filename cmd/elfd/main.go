@@ -31,11 +31,16 @@
 // run of a registered workload is one evaluation cell, run exactly as
 // POST /v1/cells runs it.
 //
-// Every experiment's cells go through one execution backend: an
-// in-process exec.Local with its own pool of -workers and a -cache entry
-// result cache, so a cell that several experiments share is simulated
-// once. In coordinator mode the backend is the Fleet with that Local as
-// its fallback.
+// One pool runs everything: an in-process exec.Local of -workers workers,
+// a -queue deep queue and a -cache entry result cache. Jobs, run jobs,
+// POST /v1/cells and every experiment's cells are jobs on its scheduler,
+// so a cell that several experiments or a POST /v1/cells share is
+// simulated once, and -workers bounds every simulation: an experiment job
+// hands its worker back while it waits on its cells, and at most -workers
+// experiment jobs run at once. -queue refuses client jobs beyond it;
+// experiment cells share the queue but are never refused (see
+// sched.Scheduler.Submit). In coordinator mode the experiment cells go
+// through the Fleet instead, with that Local as its fallback.
 //
 // Coordinator mode: -fleet http://w1:8080,http://w2:8080 shards every
 // experiment job's cells across the listed elfd workers (each serving
@@ -49,7 +54,7 @@
 // restarted elfd answers previously simulated cells without re-running
 // them; -store-max-bytes bounds it. POST /v1/cells, run jobs of
 // registered workloads and experiment cells all consult the store behind
-// a scheduler cache; a coordinator consults it before dispatching. See
+// the scheduler cache; a coordinator consults it before dispatching. See
 // DESIGN.md §15.
 package main
 
@@ -69,63 +74,18 @@ import (
 	"elfetch/internal/eval"
 	"elfetch/internal/exec"
 	"elfetch/internal/obs"
-	"elfetch/internal/sched"
 	"elfetch/internal/store"
 )
 
-// openStore opens the persistent result store under dir, or returns nil
-// when no -store-dir was given.
-func openStore(dir string, maxBytes int64, reg *obs.Registry, events *obs.Ring, logger *slog.Logger) (store.Store, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	d, err := store.Open(store.DiskConfig{
-		Dir:      dir,
-		MaxBytes: maxBytes,
-		Metrics:  reg,
-		Events:   events,
-		Logger:   logger,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// newBackend builds the backend every experiment's cells run through: an
-// exec.Local with its own pool of workers and a cacheSize-entry result
-// cache, or, when addrs lists fleet workers, the Fleet over them with that
-// Local as its fallback. Both share opt's registry, flight recorder, span
-// log and store, and the Local's probe feeds the server's elf_*
-// histograms (NewProbe is idempotent per registry). Closing the backend
-// closes the Local too.
-//
-// The Local keeps its own pool: an experiment job holds one of the
-// server's scheduler workers while its cells run, so queueing them behind
-// it would deadlock at -workers 1. It registers no metrics either: the
-// server's scheduler already registers the sched families on opt.Metrics,
-// and a second scheduler there would share those counters, so both
-// Stats() blocks would read the sum.
-func newBackend(opt serverOptions, addrs []string, workers, cacheSize int, slowCell time.Duration) (exec.Backend, error) {
-	local := exec.NewLocal(exec.LocalConfig{Workers: workers, CacheSize: cacheSize,
-		Probe: eval.NewProbe(opt.Metrics), Events: opt.Events, SlowCell: slowCell, Store: opt.Store})
-	if len(addrs) == 0 {
-		return local, nil
-	}
-	f, err := exec.NewFleet(exec.FleetConfig{
-		Workers:  addrs,
-		Fallback: local,
-		Metrics:  opt.Metrics,
-		Spans:    opt.Spans,
-		Events:   opt.Events,
-		SlowCell: slowCell,
-		Store:    opt.Store,
-	})
-	if err != nil {
-		local.Close()
-		return nil, err
-	}
-	return f, nil
+// newBackend builds the one pool of a server wired with opt, and the
+// backend its experiments' cells run through (see exec.NewBackend). The
+// pool is an exec.Local sized by cfg: newServer submits the server's jobs
+// to its scheduler, and the Local runs cells there too. It shares opt's
+// registry, flight recorder, span log and store, and its probe feeds the
+// server's elf_* histograms (NewProbe is idempotent per registry).
+func newBackend(opt serverOptions, addrs []string, cfg exec.LocalConfig) (*exec.Local, exec.Backend, error) {
+	cfg.Metrics, cfg.Probe, cfg.Events, cfg.Store = opt.Metrics, eval.NewProbe(opt.Metrics), opt.Events, opt.Store
+	return exec.NewBackend(addrs, cfg, opt.Spans)
 }
 
 // buildLogger assembles the process logger from the CLI flags.
@@ -155,10 +115,10 @@ func buildLogger(level, format string) (*slog.Logger, error) {
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "workers per scheduler pool (0 = GOMAXPROCS); jobs and experiment cells have separate pools, so up to 2N-1 simulations can run at once")
-	queue := flag.Int("queue", 128, "max queued jobs before submits fail fast")
-	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-job runtime ceiling (0 = none)")
-	cacheSize := flag.Int("cache", 512, "result cache entries")
+	workers := flag.Int("workers", 0, "simulations run at once (0 = GOMAXPROCS); one pool runs jobs and experiment cells alike")
+	queue := flag.Int("queue", 128, "max queued client jobs before submits fail fast; experiment cells queue too but are never refused")
+	jobTimeout := flag.Duration("job-timeout", 10*time.Minute, "per-job runtime ceiling, each experiment cell included (0 = none)")
+	cacheSize := flag.Int("cache", 512, "result cache entries, shared by jobs, cells and experiment cells")
 	warmup := flag.Uint64("warmup", eval.DefaultParams().Warmup, "default warmup instructions per run")
 	insts := flag.Uint64("insts", eval.DefaultParams().Measure, "default measured instructions per run")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -185,13 +145,6 @@ func main() {
 		os.Exit(2)
 	}
 	reg := obs.NewRegistry()
-	s := sched.New(sched.Config{
-		Workers:    *workers,
-		QueueDepth: *queue,
-		JobTimeout: *jobTimeout,
-		CacheSize:  *cacheSize,
-		Metrics:    reg,
-	})
 	// Flight recorder and span log: shared between the HTTP surface
 	// (/debug/events, /debug/trace) and the execution backend. The span
 	// log is seeded so this process's traces are distinguishable from
@@ -204,20 +157,24 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	st, err := openStore(*storeDir, *storeMaxBytes, reg, events, logger)
-	if err != nil {
-		logger.Error("store setup", "err", err)
-		os.Exit(2)
-	}
-	if st != nil {
-		defer st.Close()
+	var st store.Store // nil without -store-dir
+	if *storeDir != "" {
+		d, err := store.Open(store.DiskConfig{Dir: *storeDir, MaxBytes: *storeMaxBytes,
+			Metrics: reg, Events: events, Logger: logger})
+		if err != nil {
+			logger.Error("store setup", "err", err)
+			os.Exit(2)
+		}
+		defer d.Close()
 		logger.Info("persistent store", "dir", *storeDir)
+		st = d
 	}
 
 	opt := serverOptions{Metrics: reg, Logger: logger, Pprof: *pprofOn,
 		Events: events, Spans: spans, Store: st}
 	addrs := exec.SplitWorkers(*fleet)
-	backend, err := newBackend(opt, addrs, *workers, *cacheSize, slowCell)
+	local, backend, err := newBackend(opt, addrs, exec.LocalConfig{Workers: *workers,
+		QueueDepth: *queue, JobTimeout: *jobTimeout, CacheSize: *cacheSize, SlowCell: slowCell})
 	if err != nil {
 		logger.Error("fleet setup", "err", err)
 		os.Exit(2)
@@ -244,10 +201,10 @@ func main() {
 		}()
 		logger.Info("coordinator mode", "fleet", addrs, "federate", *federateInterval)
 	}
-	srv := &http.Server{Addr: *addr, Handler: newServer(s, defaults, opt)}
+	srv := &http.Server{Addr: *addr, Handler: newServer(local, defaults, opt)}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
-	logger.Info("listening", "addr", *addr, "workers", s.Stats().Workers,
+	logger.Info("listening", "addr", *addr, "workers", local.Scheduler().Stats().Workers,
 		"queue", *queue, "pprof", *pprofOn)
 
 	select {
@@ -263,7 +220,9 @@ func main() {
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			logger.Error("http shutdown", "err", err)
 		}
-		if err := s.Shutdown(shutdownCtx); err != nil {
+		// Drain before the deferred Close: a coordinator's experiment
+		// jobs need the Fleet open until they finish.
+		if err := local.Scheduler().Shutdown(shutdownCtx); err != nil {
 			logger.Error("scheduler shutdown", "err", err)
 		}
 	}

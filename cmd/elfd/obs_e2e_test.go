@@ -9,30 +9,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"elfetch/internal/eval"
+	"elfetch/internal/exec"
 	"elfetch/internal/obs"
-	"elfetch/internal/sched"
 )
-
-// obsWorker boots an in-process elfd worker with its own metrics
-// registry, so the coordinator's federation scrapes return real families.
-func obsWorker(t *testing.T) *httptest.Server {
-	t.Helper()
-	reg := obs.NewRegistry()
-	opt := withBackend(t, serverOptions{Metrics: reg})
-	s := sched.New(sched.Config{Workers: 4, QueueDepth: 64, Metrics: reg})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
-	srv := newServer(s, eval.Params{Warmup: 2_000, Measure: 10_000}, opt)
-	ws := httptest.NewServer(srv)
-	t.Cleanup(ws.Close)
-	return ws
-}
 
 // coordinator assembles the full coordinator wiring — fleet backend,
 // shared span log and flight recorder, metrics federation — exactly as
@@ -48,20 +29,14 @@ func newCoordinator(t *testing.T, addrs []string) *coordinator {
 	t.Helper()
 	reg := obs.NewRegistry()
 	opt := serverOptions{Metrics: reg, Events: obs.NewRing(0), Spans: obs.NewSpanLog(0)}
-	be, err := newBackend(opt, addrs, 0, 0, 0)
+	local, be, err := newBackend(opt, addrs, exec.LocalConfig{Workers: 4, QueueDepth: 64})
 	if err != nil {
 		t.Fatalf("newBackend: %v", err)
 	}
 	t.Cleanup(func() { be.Close() })
 	opt.Backend = be
 	opt.Federation = obs.NewFederation(obs.FederationConfig{Workers: addrs, Metrics: reg})
-	s := sched.New(sched.Config{Workers: 4, QueueDepth: 64, Metrics: reg})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
-	srv := newServer(s, eval.Params{Warmup: 1_000, Measure: 4_000, Parallel: 4}, opt)
+	srv := newServer(local, eval.Params{Warmup: 1_000, Measure: 4_000, Parallel: 4}, opt)
 	return &coordinator{srv: srv, fed: opt.Federation, spans: opt.Spans, events: opt.Events}
 }
 
@@ -106,7 +81,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	// Worker 0 dies after serving two cells: subsequent connections are
 	// hijacked and slammed shut, which the fleet sees as a network error
 	// and the federation as a failed scrape.
-	mortalInner := obsWorker(t)
+	mortalInner := fleetWorker(t)
 	var served atomic.Int64
 	var dead atomic.Bool
 	mortal := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -126,7 +101,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	}))
 	t.Cleanup(mortal.Close)
 
-	addrs := []string{mortal.URL, obsWorker(t).URL, obsWorker(t).URL}
+	addrs := []string{mortal.URL, fleetWorker(t).URL, fleetWorker(t).URL}
 	co := newCoordinator(t, addrs)
 
 	fleet := figureJobResult(t, co.srv)

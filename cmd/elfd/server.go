@@ -40,10 +40,9 @@ type serverOptions struct {
 	// Pprof mounts net/http/pprof under /debug/pprof/.
 	Pprof bool
 	// Backend runs every experiment's cells; it is required. A single
-	// node passes an exec.Local with its own pool, a coordinator the Fleet
-	// over that Local. Run jobs and POST /v1/cells always run on the
-	// server's own scheduler — a worker forwarding its cells back out
-	// would loop.
+	// node passes the Local it serves over, a coordinator the Fleet over
+	// that Local. Run jobs and POST /v1/cells always run on the Local's
+	// scheduler — a worker forwarding its cells back out would loop.
 	Backend exec.Backend
 	// Events is the flight-recorder ring behind GET /debug/events (nil =
 	// a fresh private ring, so the endpoint always works). Share it with
@@ -82,7 +81,10 @@ type server struct {
 	reqID    atomic.Uint64
 }
 
-func newServer(s *sched.Scheduler, defaults eval.Params, opt serverOptions) *server {
+// newServer serves over local: the server submits every job, run job and
+// POST /v1/cells to local's scheduler, the pool the Local runs experiment
+// cells on too.
+func newServer(local *exec.Local, defaults eval.Params, opt serverOptions) *server {
 	if opt.Metrics == nil {
 		opt.Metrics = obs.NewRegistry()
 	}
@@ -96,7 +98,7 @@ func newServer(s *sched.Scheduler, defaults eval.Params, opt serverOptions) *ser
 		opt.Spans = obs.NewSpanLog(0)
 	}
 	srv := &server{
-		sched: s, defaults: defaults, start: time.Now(), mux: http.NewServeMux(),
+		sched: local.Scheduler(), defaults: defaults, start: time.Now(), mux: http.NewServeMux(),
 		reg: opt.Metrics, log: opt.Logger, backend: opt.Backend,
 		events: opt.Events, spans: opt.Spans, fed: opt.Federation,
 		store: opt.Store,
@@ -328,25 +330,6 @@ func (s *server) params(req *jobRequest) eval.Params {
 	return p
 }
 
-// traceGrid starts a grid root span for an experiment, so every cell the
-// backend fans out becomes a child of one trace. Callers must nil-guard
-// the span.
-func (s *server) traceGrid(ctx context.Context, name string) (context.Context, *obs.Span) {
-	grid := s.spans.StartSpan(obs.SpanFromContext(ctx), name)
-	if grid == nil {
-		return ctx, nil
-	}
-	return obs.ContextWithSpan(ctx, grid), grid
-}
-
-// finishGrid closes a grid root span (nil-safe), recording the failure.
-func finishGrid(grid *obs.Span, err error) {
-	if grid != nil {
-		grid.SetError(err)
-		grid.Finish()
-	}
-}
-
 // experimentResult is an experiment job's cached payload: the rendered
 // table and the ordered cell results (stable JSON — nothing in it depends
 // on map iteration order).
@@ -384,9 +367,12 @@ func (s *server) buildExperiment(name string, p eval.Params) (label, key string,
 	}
 	key = sched.Key("experiment", name, p.Warmup, p.Measure)
 	task = func(ctx context.Context) (any, error) {
-		ctx, grid := s.traceGrid(ctx, name)
-		t, res, err := eval.RunExperiment(ctx, name, p)
-		finishGrid(grid, err)
+		// A grid root span, so every cell the backend fans out becomes a
+		// child of one trace.
+		grid := s.spans.StartSpan(obs.SpanFromContext(ctx), name)
+		t, res, err := eval.RunExperiment(obs.ContextWithSpan(ctx, grid), name, p)
+		grid.SetError(err)
+		grid.Finish()
 		if err != nil {
 			return nil, err
 		}
@@ -505,8 +491,8 @@ type runResult struct {
 // behind the scheduler cache, repeats answered from cache and identical
 // cells coalesced in flight. This handler only decodes, validates and maps
 // the outcome onto the error envelope. Cells always run on this worker's
-// own pool, never through the backend — a worker forwarding its cells back
-// out would loop.
+// scheduler, never through the backend — a worker forwarding its cells
+// back out would loop.
 func (s *server) handleCell(w http.ResponseWriter, r *http.Request) {
 	var c eval.Cell
 	dec := json.NewDecoder(r.Body)
@@ -524,7 +510,8 @@ func (s *server) handleCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfgName := c.Config.Name()
-	j, err := s.sched.Submit(exec.CellTask(c, s.store, s.probe, func() { s.countRun(cfgName) }))
+	label, key, task := exec.CellTask(c, s.store, s.probe, func() { s.countRun(cfgName) })
+	j, err := s.sched.Submit(r.Context(), label, key, task)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -573,7 +560,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	j, err := s.sched.Submit(label, key, task)
+	j, err := s.sched.Submit(r.Context(), label, key, task)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -703,7 +690,7 @@ func (s *server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, err)
 		return
 	}
-	j, err := s.sched.Submit(label, key, task)
+	j, err := s.sched.Submit(r.Context(), label, key, task)
 	if err != nil {
 		writeErr(w, r, err)
 		return
@@ -774,8 +761,9 @@ type statsResponse struct {
 	CacheHitRate  float64           `json:"cacheHitRate"`
 	Scheduler     sched.Stats       `json:"scheduler"`
 	VariantRuns   map[string]uint64 `json:"variantRuns"`
-	// Exec carries the backend's counters: the Local's pool and cache on
-	// a single node, the fleet's dispatch ledger on a coordinator.
+	// Exec carries the backend's counters: on a single node the Local's,
+	// whose scheduler is Scheduler itself; on a coordinator the fleet's
+	// dispatch ledger.
 	Exec *exec.Stats `json:"exec,omitempty"`
 	// Federation carries the per-worker scrape breakdown when the server
 	// federates worker metrics.

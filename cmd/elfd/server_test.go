@@ -13,40 +13,35 @@ import (
 	"time"
 
 	"elfetch/internal/eval"
+	"elfetch/internal/exec"
 	"elfetch/internal/obs"
 	"elfetch/internal/sched"
 )
 
-// withBackend sets opt.Backend to the single-node backend cmd/elfd's main
-// builds for opt (a Local with two workers), closed at cleanup. Call it
-// before starting the server's scheduler, so the backend closes after the
-// scheduler has drained the experiment jobs that use it.
-func withBackend(t *testing.T, opt serverOptions) serverOptions {
+// newTestServer builds a single-node server the way cmd/elfd's main
+// does: newBackend's Local, sized by cfg, runs every job and cell on one
+// scheduler, and is closed at cleanup.
+func newTestServer(t *testing.T, cfg exec.LocalConfig, defaults eval.Params, opt serverOptions) *server {
 	t.Helper()
 	if opt.Metrics == nil {
 		opt.Metrics = obs.NewRegistry()
 	}
-	be, err := newBackend(opt, nil, 2, 0, 0)
+	local, be, err := newBackend(opt, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { be.Close() })
 	opt.Backend = be
-	return opt
+	return newServer(local, defaults, opt)
 }
 
-// testServer builds a server over a fresh scheduler with tiny default run
-// lengths so handler tests stay fast.
+// testServer builds a server over four workers with tiny default run
+// lengths so handler tests stay fast, and returns its scheduler.
 func testServer(t *testing.T) (*server, *sched.Scheduler) {
 	t.Helper()
-	opt := withBackend(t, serverOptions{})
-	s := sched.New(sched.Config{Workers: 4, QueueDepth: 64})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		s.Shutdown(ctx)
-	})
-	return newServer(s, eval.Params{Warmup: 2_000, Measure: 10_000}, opt), s
+	srv := newTestServer(t, exec.LocalConfig{Workers: 4, QueueDepth: 64},
+		eval.Params{Warmup: 2_000, Measure: 10_000}, serverOptions{})
+	return srv, srv.sched
 }
 
 func doJSON(t *testing.T, h http.Handler, method, target string, body any) (*httptest.ResponseRecorder, map[string]any) {

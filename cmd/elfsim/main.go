@@ -257,20 +257,9 @@ func runBackend(ctx context.Context, wl, front string, p eval.Params, addrs []st
 		defer d.Close()
 		pstore = d
 	}
-	local := exec.NewLocal(exec.LocalConfig{Metrics: reg, Events: events, Store: pstore})
-	var be exec.Backend = local
-	if len(addrs) > 0 {
-		f, err := exec.NewFleet(exec.FleetConfig{
-			Workers:  addrs,
-			Fallback: local,
-			Metrics:  reg,
-			Events:   events,
-			Store:    pstore,
-		})
-		if err != nil {
-			die(2, err)
-		}
-		be = f
+	_, be, err := exec.NewBackend(addrs, exec.LocalConfig{Metrics: reg, Events: events, Store: pstore}, nil)
+	if err != nil {
+		die(2, err)
 	}
 	defer be.Close()
 	// flush writes -metrics-out, reporting whether that failed.

@@ -9,7 +9,7 @@ import (
 // named for the paper's front-end distributions:
 //
 //	elf_flush_recovery_cycles   flush applied -> next commit
-//	elf_faq_occupancy_blocks    FAQ depth, sampled every SampleEvery cycles
+//	elf_faq_occupancy_blocks    FAQ depth, sampled every 64 cycles
 //	elf_coupled_residency_cycles  EnterCoupled -> switch back to decoupled
 //	elf_resync_drain_cycles     resync prepare -> actual mode switch
 //

@@ -39,6 +39,7 @@ import (
 	"strings"
 
 	"elfetch/internal/eval"
+	"elfetch/internal/obs"
 	"elfetch/internal/sched"
 	"elfetch/internal/store"
 )
@@ -111,6 +112,25 @@ func SplitWorkers(list string) []string {
 		}
 	}
 	return out
+}
+
+// NewBackend builds the backend a command runs its cells through: a Local
+// sized and wired by cfg or, when addrs lists fleet workers, the Fleet over
+// them with that Local as its fallback. The Fleet shares cfg's registry,
+// flight recorder, slow-cell threshold and store, and records its spans in
+// spans. NewBackend returns the Local too; closing the backend closes it.
+func NewBackend(addrs []string, cfg LocalConfig, spans *obs.SpanLog) (*Local, Backend, error) {
+	local := NewLocal(cfg)
+	if len(addrs) == 0 {
+		return local, local, nil
+	}
+	f, err := NewFleet(FleetConfig{Workers: addrs, Fallback: local, Metrics: cfg.Metrics,
+		Spans: spans, Events: cfg.Events, SlowCell: cfg.SlowCell, Store: cfg.Store})
+	if err != nil {
+		local.Close()
+		return nil, nil, err
+	}
+	return local, f, nil
 }
 
 // WorkerStats is one fleet worker's dispatch ledger.

@@ -20,8 +20,12 @@ type LocalConfig struct {
 	Workers int
 	// QueueDepth bounds queued cells (0 = 1024 — generous, because a
 	// grid dispatcher queues bursts and a fast-failing Submit would turn
-	// a full queue into a failed cell).
+	// a full queue into a failed cell). Cells that a task of the pool
+	// runs, an elfd experiment's, are nested jobs and never refused.
 	QueueDepth int
+	// JobTimeout bounds the runtime of each job on the pool, cells
+	// included (0 = unlimited).
+	JobTimeout time.Duration
 	// CacheSize bounds the result cache (0 = the sched default).
 	CacheSize int
 	// Metrics exposes the wrapped scheduler's operational metric
@@ -68,6 +72,7 @@ func NewLocal(cfg LocalConfig) *Local {
 		sched: sched.New(sched.Config{
 			Workers:    cfg.Workers,
 			QueueDepth: cfg.QueueDepth,
+			JobTimeout: cfg.JobTimeout,
 			CacheSize:  cfg.CacheSize,
 			Metrics:    cfg.Metrics,
 		}),
@@ -78,6 +83,11 @@ func NewLocal(cfg LocalConfig) *Local {
 	}
 }
 
+// Scheduler returns the pool the backend runs its cells on. A server
+// submits its own jobs there too, so they share one pool, queue, result
+// cache and set of counters with the cells (see sched.Job.Wait).
+func (l *Local) Scheduler() *sched.Scheduler { return l.sched }
+
 // Run executes one cell on the pool, waiting for completion or ctx.
 func (l *Local) Run(ctx context.Context, c eval.Cell) (eval.Result, error) {
 	if err := c.Validate(); err != nil {
@@ -86,7 +96,8 @@ func (l *Local) Run(ctx context.Context, c eval.Cell) (eval.Result, error) {
 	cellName := c.Workload + "/" + c.Config.Name()
 	trace := traceOf(obs.SpanFromContext(ctx))
 	start := time.Now()
-	j, err := l.sched.Submit(CellTask(c, l.store, l.probe, nil))
+	label, key, task := CellTask(c, l.store, l.probe, nil)
+	j, err := l.sched.Submit(ctx, label, key, task)
 	if err != nil {
 		l.failed.Add(1)
 		l.events.Add(obs.Event{Kind: obs.EventError, Worker: "local", Cell: cellName,

@@ -241,10 +241,6 @@ type FederationConfig struct {
 	// Workers lists the worker base URLs to scrape, in the order gauges
 	// resolve their last-write aggregate.
 	Workers []string
-	// Client performs the scrapes (nil = 10-second timeout).
-	Client *http.Client
-	// Path is the exposition endpoint (0 = "/metrics").
-	Path string
 	// Metrics exposes the federation's own series (elf_fed_scrapes_total,
 	// elf_fed_scrape_errors_total, elf_fed_worker_up) — on a coordinator
 	// this is its main registry, so scrape health shows up in the fleet
@@ -276,13 +272,8 @@ type Federation struct {
 // NewFederation returns a federation over cfg.Workers. No scraping
 // happens until Scrape is called (callers own the cadence).
 func NewFederation(cfg FederationConfig) *Federation {
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if cfg.Path == "" {
-		cfg.Path = "/metrics"
-	}
-	f := &Federation{cfg: cfg, client: cfg.Client, state: map[string]*fedWorkerState{}}
+	f := &Federation{cfg: cfg, client: &http.Client{Timeout: 10 * time.Second},
+		state: map[string]*fedWorkerState{}}
 	for i, addr := range cfg.Workers {
 		addr = strings.TrimRight(addr, "/")
 		cfg.Workers[i] = addr
@@ -320,7 +311,7 @@ func (f *Federation) Scrape(ctx context.Context) {
 }
 
 func (f *Federation) scrapeOne(ctx context.Context, addr string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+f.cfg.Path, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/metrics", nil)
 	if err != nil {
 		return err
 	}
@@ -330,7 +321,7 @@ func (f *Federation) scrapeOne(ctx context.Context, addr string) error {
 	}
 	defer DrainClose(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("scrape %s: %s", addr+f.cfg.Path, resp.Status)
+		return fmt.Errorf("scrape %s: %s", addr+"/metrics", resp.Status)
 	}
 	return f.UpdateFrom(addr, resp.Body)
 }

@@ -24,7 +24,7 @@ type Probe struct {
 	FlushRecovery Observer
 
 	// FAQOccupancy observes the fetch address queue's depth in blocks,
-	// sampled every SampleEvery cycles (DCF fronts only).
+	// sampled every faqSampleEvery cycles (DCF fronts only).
 	FAQOccupancy Observer
 
 	// CoupledResidency observes, per ELF coupled period, the cycles from
@@ -35,18 +35,10 @@ type Probe struct {
 	// Figure 5 algorithm declaring the FAQ caught up (ResyncPrepare) and
 	// the mode switch actually firing once decode drains.
 	ResyncDrain Observer
-
-	// SampleEvery is the FAQOccupancy sampling period in cycles (0 = 64).
-	SampleEvery uint64
 }
 
-// sampleEvery resolves the FAQ sampling period.
-func (p *Probe) sampleEvery() uint64 {
-	if p.SampleEvery == 0 {
-		return 64
-	}
-	return p.SampleEvery
-}
+// faqSampleEvery is the FAQOccupancy sampling period in cycles.
+const faqSampleEvery = 64
 
 // AttachProbe enables distribution sampling on the machine. Attach after
 // warmup (alongside ResetStats) so distributions cover the measured
@@ -69,7 +61,7 @@ func (m *Machine) probeSample(now uint64) {
 		return
 	}
 	if p.FAQOccupancy != nil && m.dcf != nil && now >= m.nextFAQSample {
-		m.nextFAQSample = now + p.sampleEvery()
+		m.nextFAQSample = now + faqSampleEvery
 		p.FAQOccupancy.Observe(float64(m.faq.Len()))
 	}
 }

@@ -49,7 +49,6 @@ func TestProbeObservesDistributions(t *testing.T) {
 		FAQOccupancy:     occ,
 		CoupledResidency: res,
 		ResyncDrain:      drain,
-		SampleEvery:      16,
 	})
 	st := m.Run(50_000)
 

@@ -2,7 +2,9 @@
 // scheduler with a content-addressed result cache. cmd/elfd submits
 // simulation closures here; identical submissions (same config, workload,
 // warmup, measure) coalesce while in flight and are served from cache once
-// complete, so repeated figure/sweep requests cost one simulation.
+// complete, so repeated figure/sweep requests cost one simulation. A job
+// that a running task submits to its own scheduler is nested (an elfd
+// experiment's cells); see Submit and Job.Wait for why nesting is safe.
 package sched
 
 import (
@@ -10,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,10 +47,11 @@ var (
 
 // Config sizes the scheduler.
 type Config struct {
-	// Workers is the worker-pool size (0 = GOMAXPROCS).
+	// Workers is the worker-pool size (0 = GOMAXPROCS). It bounds the
+	// jobs doing work and the top-level jobs started but not finished.
 	Workers int
-	// QueueDepth bounds queued-but-not-running jobs (0 = 64). Submissions
-	// beyond it fail fast with ErrQueueFull.
+	// QueueDepth bounds the queued top-level jobs (0 = 64). Top-level
+	// submissions beyond it fail fast with ErrQueueFull.
 	QueueDepth int
 	// JobTimeout bounds one job's runtime (0 = unlimited).
 	JobTimeout time.Duration
@@ -66,12 +70,14 @@ type Job struct {
 	key   string
 	label string
 	task  Task
+	s     *Scheduler // the scheduler that runs it
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
 
-	mu         sync.Mutex
+	mu sync.Mutex
+	// state is written holding both s.mu and mu, so either lock reads it.
 	state      State
 	submitters int // Submit calls holding the job; see Wait
 	cached     bool
@@ -80,7 +86,15 @@ type Job struct {
 	submitted  time.Time
 	started    time.Time
 	finished   time.Time
+
+	// Guarded by s.mu: nested marks a nested job or a queued job a task
+	// of s waits on; released marks a job whose task handed its worker back.
+	nested, released bool
 }
+
+// runningJob is the context key under which a task's context carries its
+// job, so Submit and Wait can tell a task of the scheduler from a client.
+type runningJob struct{}
 
 // ID returns the job's scheduler-assigned identifier.
 func (j *Job) ID() string { return j.id }
@@ -92,7 +106,14 @@ func (j *Job) ID() string { return j.id }
 // context, the client hangs up, the job cancels — unless another client's
 // identical submission coalesced onto it and still wants the result. Each
 // submission gives up at most once: call Wait once per Submit.
+//
+// A task of the same scheduler that would block here first hands its
+// worker back: a replacement starts, the waiting job stops counting as
+// running, and its goroutine leaves the pool when its task returns; a
+// queued job it waits on becomes nested. So nesting cannot deadlock a
+// one-worker pool, and Workers still bounds the jobs doing work.
 func (j *Job) Wait(ctx context.Context) (JobStatus, error) {
+	j.s.yield(ctx, j)
 	select {
 	case <-j.done:
 		return j.Status(), nil
@@ -108,32 +129,14 @@ func (j *Job) Wait(ctx context.Context) (JobStatus, error) {
 	}
 }
 
-// Cancel aborts the job. A queued job never runs; a running job's context
-// is cancelled and it finishes as Canceled. Cancelling a terminal job is a
-// no-op. Note a coalesced job is shared: Cancel cancels it for every
-// submitter (Wait, by contrast, only gives up the caller's submission).
+// Cancel aborts the job. A queued job finishes as Canceled at once and
+// never runs; a running job's context is cancelled and it finishes as
+// Canceled when its task returns. Cancelling a terminal job is a no-op.
+// Note a coalesced job is shared: Cancel cancels it for every submitter
+// (Wait, by contrast, only gives up the caller's submission).
 func (j *Job) Cancel() {
 	j.cancel()
-	j.mu.Lock()
-	if j.state == Queued {
-		j.finish(Canceled, nil, context.Canceled)
-	}
-	j.mu.Unlock()
-}
-
-// finish moves to a terminal state and releases the job's context, so a
-// finished job no longer hangs off the scheduler's base context. Caller
-// holds j.mu.
-func (j *Job) finish(s State, result any, err error) {
-	if j.state.Terminal() {
-		return
-	}
-	j.state = s
-	j.result = result
-	j.err = err
-	j.finished = time.Now()
-	j.cancel()
-	close(j.done)
+	j.s.finish(j, Queued, Canceled, nil, context.Canceled)
 }
 
 // JobStatus is the JSON-friendly snapshot of a job.
@@ -202,7 +205,6 @@ const retainFinished = 4096
 type Scheduler struct {
 	cfg   Config
 	cache *Cache
-	queue chan *Job
 	// base is the root every job context derives from, so Shutdown can
 	// cancel all in-flight work at once; it is process-scoped, not
 	// request-scoped, which is why storing it here is sound.
@@ -211,7 +213,11 @@ type Scheduler struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// changed is closed, and replaced, whenever a queued job may start or
+	// a worker may leave a closed pool; see next.
+	changed  chan struct{}
+	queue    []*Job          // queued jobs, oldest first
 	jobs     map[string]*Job // live jobs and the last retainFinished finished ones, by id
 	inflight map[string]*Job // queued/running cacheable jobs, by key
 	finished []string        // ring of finished job ids; see retainLocked
@@ -219,8 +225,11 @@ type Scheduler struct {
 	seq      uint64
 	closed   bool
 
-	running int
-	queueHW int
+	topQueued  int // queued top-level jobs; QueueDepth bounds them
+	topRunning int // started, unfinished top-level jobs; Workers bounds them
+	running    int // started jobs holding a worker
+	released   int // started, unfinished jobs that handed their worker back
+	queueHW    int
 
 	// The counts behind Stats live in these metrics, exposed on
 	// Config.Metrics.
@@ -248,7 +257,7 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		cfg:      cfg,
 		cache:    newCache(cfg.CacheSize, reg),
-		queue:    make(chan *Job, cfg.QueueDepth),
+		changed:  make(chan struct{}),
 		base:     ctx,
 		cancel:   cancel,
 		jobs:     make(map[string]*Job),
@@ -266,7 +275,7 @@ func New(cfg Config) *Scheduler {
 	}
 	reg.GaugeFunc("elfd_sched_queue_depth",
 		"Jobs queued but not yet running.",
-		func() float64 { return float64(len(s.queue)) })
+		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(len(s.queue)) })
 	reg.GaugeFunc("elfd_sched_queue_high_water",
 		"Deepest queue occupancy since start.",
 		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(s.queueHW) })
@@ -294,19 +303,25 @@ func New(cfg Config) *Scheduler {
 // returned job is born Done with Cached set), and a key already queued or
 // running coalesces onto the in-flight job, which is returned as-is and
 // counts one more submitter (see Wait).
-func (s *Scheduler) Submit(label, key string, task Task) (*Job, error) {
+//
+// ctx only tells a nested submission from a top-level one; Submit never
+// blocks. A nested job belongs to work already admitted, so it is never
+// refused, for queue room or after Shutdown, and needs no top-level slot.
+func (s *Scheduler) Submit(ctx context.Context, label, key string, task Task) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	nested := s.runnerLocked(ctx) != nil
+	if s.closed && !nested {
 		return nil, ErrShutdown
 	}
 	if key != "" {
 		if v, ok := s.cache.Get(key); ok {
+			// Born Done: no other goroutine can reach j before s.mu
+			// is released.
 			j := s.newJobLocked(label, key)
-			j.cached = true
-			j.mu.Lock()
-			j.finish(Done, v, nil)
-			j.mu.Unlock()
+			j.cached, j.state, j.result, j.finished = true, Done, v, j.submitted
+			j.cancel()
+			close(j.done)
 			s.retainLocked(j.id)
 			return j, nil
 		}
@@ -320,22 +335,38 @@ func (s *Scheduler) Submit(label, key string, task Task) (*Job, error) {
 			return infl, nil
 		}
 	}
-	j := s.newJobLocked(label, key)
-	j.task = task
-	select {
-	case s.queue <- j:
-	default:
-		delete(s.jobs, j.id)
+	if !nested && s.topQueued >= s.cfg.QueueDepth {
 		return nil, fmt.Errorf("%w (depth %d)", ErrQueueFull, s.cfg.QueueDepth)
+	}
+	j := s.newJobLocked(label, key)
+	j.task, j.nested = task, nested
+	s.queue = append(s.queue, j)
+	if !nested {
+		s.topQueued++
 	}
 	if key != "" {
 		s.inflight[key] = j
 	}
 	s.submitted.Inc()
-	if depth := len(s.queue); depth > s.queueHW {
-		s.queueHW = depth
-	}
+	s.queueHW = max(s.queueHW, len(s.queue))
+	s.changeLocked()
 	return j, nil
+}
+
+// changeLocked wakes every worker waiting in next. Caller holds s.mu.
+func (s *Scheduler) changeLocked() {
+	close(s.changed)
+	s.changed = make(chan struct{})
+}
+
+// runnerLocked returns the job of s whose running task ctx descends from,
+// or nil. Caller holds s.mu.
+func (s *Scheduler) runnerLocked(ctx context.Context) *Job {
+	w, _ := ctx.Value(runningJob{}).(*Job)
+	if w == nil || w.s != s || w.state != Running {
+		return nil
+	}
+	return w
 }
 
 // newJobLocked allocates and registers a job. Caller holds s.mu.
@@ -346,6 +377,7 @@ func (s *Scheduler) newJobLocked(label, key string) *Job {
 		id:         fmt.Sprintf("j%06d", s.seq),
 		key:        key,
 		label:      label,
+		s:          s,
 		ctx:        ctx,
 		cancel:     cancel,
 		done:       make(chan struct{}),
@@ -399,15 +431,14 @@ func (s *Scheduler) Stats() Stats {
 	}
 }
 
-// Shutdown stops accepting jobs and waits for the pool to drain. If ctx
-// expires first, every outstanding job is cancelled and Shutdown waits for
-// the workers to notice before returning ctx.Err().
+// Shutdown stops accepting top-level jobs and waits for the pool to drain:
+// queued jobs still run, and running jobs may submit nested jobs until
+// they finish. If ctx expires first, every outstanding job is cancelled
+// and Shutdown waits for the workers to notice before returning ctx.Err().
 func (s *Scheduler) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-	}
+	s.closed = true
+	s.changeLocked()
 	s.mu.Unlock()
 
 	drained := make(chan struct{})
@@ -427,27 +458,89 @@ func (s *Scheduler) Shutdown(ctx context.Context) error {
 
 func (s *Scheduler) worker() {
 	defer s.wg.Done()
-	for j := range s.queue {
-		s.run(j)
+	for {
+		j := s.next()
+		if j == nil || !s.run(j) {
+			return // shut down, or j released this worker; see Wait
+		}
 	}
 }
 
-// run executes one job to a terminal state.
-func (s *Scheduler) run(j *Job) {
-	j.mu.Lock()
-	if j.state != Queued { // cancelled while queued
+// next blocks until a queued job may start and starts it: the oldest
+// nested job or, while fewer than Workers top-level jobs run, the oldest
+// job. It returns nil once s is shut down with no job queued and none
+// released (a released job may still submit nested jobs).
+func (s *Scheduler) next() *Job {
+	s.mu.Lock()
+	for {
+		i := slices.IndexFunc(s.queue, func(j *Job) bool {
+			return j.nested || j.state != Queued || s.topRunning < s.cfg.Workers
+		})
+		if i < 0 {
+			if s.closed && len(s.queue) == 0 && s.released == 0 {
+				s.mu.Unlock()
+				return nil
+			}
+			changed := s.changed
+			s.mu.Unlock()
+			<-changed
+			s.mu.Lock()
+			continue
+		}
+		j := s.queue[i]
+		s.queue = slices.Delete(s.queue, i, i+1)
+		if !j.nested {
+			s.topQueued--
+		}
+		if j.state != Queued {
+			// Cancelled while queued: Cancel counted it, and it joins
+			// the finished window now that it has left the queue.
+			s.retainLocked(j.id)
+			continue
+		}
+		if !j.nested {
+			s.topRunning++
+		}
+		j.mu.Lock()
+		j.state, j.started = Running, time.Now()
 		j.mu.Unlock()
-		s.retire(j, Canceled, 0, false)
+		s.running++
+		s.mu.Unlock()
+		return j
+	}
+}
+
+// yield readies the running task that ctx belongs to, if it is a job of s,
+// to block waiting on j: a queued j becomes nested, and the waiting job,
+// if it still holds a worker, hands it to a replacement (see Wait).
+func (s *Scheduler) yield(ctx context.Context, j *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.runnerLocked(ctx)
+	if w == nil || j.state.Terminal() {
 		return
 	}
-	j.state = Running
-	j.started = time.Now()
-	j.mu.Unlock()
-	s.mu.Lock()
-	s.running++
-	s.mu.Unlock()
+	if j.state == Queued && !j.nested {
+		j.nested = true
+		s.topQueued--
+		s.changeLocked()
+	}
+	if w.released {
+		return
+	}
+	w.released = true
+	s.running--
+	s.released++
+	// w's goroutine still counts in wg, so this Add cannot race a
+	// Shutdown waiting for the count to reach zero.
+	s.wg.Add(1)
+	go s.worker()
+}
 
-	ctx := j.ctx
+// run executes a started job to a terminal state. It reports whether the
+// calling goroutine still holds its worker.
+func (s *Scheduler) run(j *Job) bool {
+	ctx := context.WithValue(j.ctx, runningJob{}, j)
 	if s.cfg.JobTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
@@ -466,34 +559,55 @@ func (s *Scheduler) run(j *Job) {
 	default:
 		state = Failed
 	}
-	j.mu.Lock()
-	j.finish(state, result, err)
-	elapsed := j.finished.Sub(j.started).Seconds()
-	j.mu.Unlock()
-	s.retire(j, state, elapsed, true)
+	return s.finish(j, Running, state, result, err)
 }
 
-// retire updates scheduler counters, the in-flight index and the
-// finished-job window.
-func (s *Scheduler) retire(j *Job, state State, seconds float64, ran bool) {
+// finish moves j from state from to the terminal state to, unless j has
+// left from already. It counts the job, drops it from the in-flight index
+// and, for a job that ran, records it in the finished window, all before
+// it releases the job's context and its waiters: Stats and /metrics
+// include a job as soon as its Wait returns. It reports whether j finished
+// still holding a worker.
+func (s *Scheduler) finish(j *Job, from, to State, result any, err error) (held bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j.key != "" && s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
+	j.mu.Lock()
+	moved := j.state == from
+	if moved {
+		j.state, j.result, j.err, j.finished = to, result, err, time.Now()
+		if from == Running {
+			held = !j.released
+			if held {
+				s.running--
+			} else {
+				s.released--
+			}
+			if !j.nested {
+				s.topRunning--
+			}
+			s.jobSeconds.Observe(j.finished.Sub(j.started).Seconds())
+			s.retainLocked(j.id)
+			// A top-level slot, or the last released job, is free.
+			s.changeLocked()
+		}
+		if j.key != "" && s.inflight[j.key] == j {
+			delete(s.inflight, j.key)
+		}
+		switch to {
+		case Done:
+			s.completed.Inc()
+		case Failed:
+			s.failed.Inc()
+		case Canceled:
+			s.canceled.Inc()
+		}
 	}
-	s.retainLocked(j.id)
-	if ran {
-		s.running--
-		s.jobSeconds.Observe(seconds)
+	j.mu.Unlock()
+	s.mu.Unlock()
+	if moved {
+		j.cancel()
+		close(j.done)
 	}
-	switch state {
-	case Done:
-		s.completed.Inc()
-	case Failed:
-		s.failed.Inc()
-	case Canceled:
-		s.canceled.Inc()
-	}
+	return held
 }
 
 // runTask calls the task, converting a panic into an error so one bad

@@ -37,7 +37,7 @@ func TestSubmitRunsAndCaches(t *testing.T) {
 		return 42, nil
 	}
 	key := Key("cfg", "wl", 1, 2)
-	j1, err := s.Submit("first", key, task)
+	j1, err := s.Submit(context.Background(), "first", key, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSubmitRunsAndCaches(t *testing.T) {
 		t.Fatalf("first job: %+v", st)
 	}
 
-	j2, err := s.Submit("second", key, task)
+	j2, err := s.Submit(context.Background(), "second", key, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +79,12 @@ func TestFinishedJobsReleaseContext(t *testing.T) {
 
 	key := Key("release")
 	task := func(ctx context.Context) (any, error) { return "v", nil }
-	ran, err := s.Submit("ran", key, task)
+	ran, err := s.Submit(context.Background(), "ran", key, task)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, ran)
-	hit, err := s.Submit("hit", key, task)
+	hit, err := s.Submit(context.Background(), "hit", key, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func cacheHits(t *testing.T, s *Scheduler, key string, n int) []string {
 	t.Helper()
 	ids := make([]string, 0, n)
 	for i := 0; i < n; i++ {
-		j, err := s.Submit("hit", key, func(ctx context.Context) (any, error) {
+		j, err := s.Submit(context.Background(), "hit", key, func(ctx context.Context) (any, error) {
 			t.Error("cache hit ran its task")
 			return nil, nil
 		})
@@ -132,26 +132,12 @@ func cacheHits(t *testing.T, s *Scheduler, key string, n int) []string {
 func primed(t *testing.T, key string) (*Scheduler, string) {
 	t.Helper()
 	s := New(Config{Workers: 1, QueueDepth: 8})
-	j, err := s.Submit("prime", key, func(ctx context.Context) (any, error) { return "v", nil })
+	j, err := s.Submit(context.Background(), "prime", key, func(ctx context.Context) (any, error) { return "v", nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, j)
-	waitRetired(t, s, func(st Stats) bool { return st.Completed == 1 })
 	return s, j.ID()
-}
-
-// waitRetired polls until the scheduler's counters satisfy ok: Wait
-// returns when a job finishes, a moment before run retires it.
-func waitRetired(t *testing.T, s *Scheduler, ok func(Stats) bool) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for !ok(s.Stats()) {
-		if time.Now().After(deadline) {
-			t.Fatalf("jobs never retired: %+v", s.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // jobCount is the size of the job table.
@@ -189,7 +175,7 @@ func TestFinishedJobsRetiredBeyondWindow(t *testing.T) {
 		defer s.Shutdown(context.Background())
 		block := make(chan struct{})
 		started := make(chan struct{})
-		running, err := s.Submit("running", "", func(ctx context.Context) (any, error) {
+		running, err := s.Submit(context.Background(), "running", "", func(ctx context.Context) (any, error) {
 			close(started)
 			<-block
 			return "r", nil
@@ -198,7 +184,7 @@ func TestFinishedJobsRetiredBeyondWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-started
-		queued, err := s.Submit("queued", "", func(ctx context.Context) (any, error) { return "q", nil })
+		queued, err := s.Submit(context.Background(), "queued", "", func(ctx context.Context) (any, error) { return "q", nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +198,10 @@ func TestFinishedJobsRetiredBeyondWindow(t *testing.T) {
 			t.Errorf("job table holds %d, want %d finished + 2 live", n, retainFinished)
 		}
 		close(block)
-		waitRetired(t, s, func(st Stats) bool { return st.Completed == 3 })
+		waitDone(t, queued) // it runs after running on the one worker
+		if st := s.Stats(); st.Completed != 3 {
+			t.Fatalf("completed = %d once the live jobs finished, want 3", st.Completed)
+		}
 		for _, j := range []*Job{running, queued} {
 			if _, ok := s.Get(j.ID()); !ok {
 				t.Errorf("just-finished job %s forgotten", j.ID())
@@ -228,7 +217,7 @@ func TestFinishedJobsRetiredBeyondWindow(t *testing.T) {
 		defer s.Shutdown(context.Background())
 		block := make(chan struct{})
 		started := make(chan struct{})
-		if _, err := s.Submit("blocker", "", func(ctx context.Context) (any, error) {
+		if _, err := s.Submit(context.Background(), "blocker", "", func(ctx context.Context) (any, error) {
 			close(started)
 			<-block
 			return nil, nil
@@ -236,7 +225,7 @@ func TestFinishedJobsRetiredBeyondWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-started
-		victim, err := s.Submit("victim", "", func(ctx context.Context) (any, error) { return nil, nil })
+		victim, err := s.Submit(context.Background(), "victim", "", func(ctx context.Context) (any, error) { return nil, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +239,16 @@ func TestFinishedJobsRetiredBeyondWindow(t *testing.T) {
 			t.Fatal("queued cancelled job forgotten before run retired it")
 		}
 		close(block)
-		waitRetired(t, s, func(st Stats) bool { return st.Canceled == 1 && st.Completed == 2 })
+		// A job queued behind the victim runs only after the worker has
+		// dequeued the victim and retired it.
+		tail, err := s.Submit(context.Background(), "tail", "", func(ctx context.Context) (any, error) { return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, tail)
+		if st := s.Stats(); st.Canceled != 1 || st.Completed != 3 {
+			t.Fatalf("stats = %+v, want canceled 1 and completed 3 (prime, blocker, tail)", st)
+		}
 		if _, ok := s.Get(victim.ID()); !ok {
 			t.Fatal("retired cancelled job forgotten inside the window")
 		}
@@ -274,26 +272,26 @@ func TestStatsMatchExposedSeries(t *testing.T) {
 
 	key := Key("fresh")
 	release := make(chan struct{})
-	fresh, err := s.Submit("fresh", key, func(ctx context.Context) (any, error) {
+	fresh, err := s.Submit(context.Background(), "fresh", key, func(ctx context.Context) (any, error) {
 		<-release
 		return "v", nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if joined, err := s.Submit("joined", key, nil); err != nil || joined != fresh {
+	if joined, err := s.Submit(context.Background(), "joined", key, nil); err != nil || joined != fresh {
 		t.Fatalf("second submit did not coalesce: %v", err)
 	}
 	close(release)
 	waitDone(t, fresh)
-	hit, err := s.Submit("hit", key, nil)
+	hit, err := s.Submit(context.Background(), "hit", key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := hit.Status(); !st.Cached {
 		t.Fatalf("third submit not a cache hit: %+v", st)
 	}
-	failed, err := s.Submit("fail", "", func(ctx context.Context) (any, error) {
+	failed, err := s.Submit(context.Background(), "fail", "", func(ctx context.Context) (any, error) {
 		return nil, errors.New("boom")
 	})
 	if err != nil {
@@ -301,7 +299,7 @@ func TestStatsMatchExposedSeries(t *testing.T) {
 	}
 	waitDone(t, failed)
 	started := make(chan struct{})
-	canceled, err := s.Submit("cancel", "", func(ctx context.Context) (any, error) {
+	canceled, err := s.Submit(context.Background(), "cancel", "", func(ctx context.Context) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -312,7 +310,6 @@ func TestStatsMatchExposedSeries(t *testing.T) {
 	<-started
 	canceled.Cancel()
 	waitDone(t, canceled)
-	waitRetired(t, s, func(st Stats) bool { return st.Completed+st.Failed+st.Canceled == 3 })
 
 	st := s.Stats()
 	if st.Submitted != 3 || st.Coalesced != 1 || st.Completed != 1 || st.Failed != 1 ||
@@ -342,6 +339,303 @@ func TestStatsMatchExposedSeries(t *testing.T) {
 	}
 }
 
+// TestCountedBeforeWaitReturns pins that the scheduler counts a job before
+// it releases the job's waiters: as soon as Wait returns, Stats and the
+// exposed series include the job, whether it ran, failed or was cancelled
+// while queued. Cancel counts a queued job itself, before any worker
+// dequeues it.
+func TestCountedBeforeWaitReturns(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Config{Workers: 2, QueueDepth: 8, Metrics: reg})
+	defer s.Shutdown(context.Background())
+
+	const jobs = 100
+	for i := 1; i <= jobs; i++ {
+		task := func(ctx context.Context) (any, error) { return i, nil }
+		if i%2 == 0 {
+			task = func(ctx context.Context) (any, error) { return nil, errors.New("boom") }
+		}
+		j, err := s.Submit(context.Background(), "job", "", task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		if st := s.Stats(); st.Completed+st.Failed != uint64(i) || st.Running != 0 {
+			t.Fatalf("right after job %d's Wait: %+v", i, st)
+		}
+	}
+
+	block := make(chan struct{})
+	defer close(block) // before Shutdown, which waits for the blockers
+	for w := 0; w < 2; w++ {
+		if _, err := s.Submit(context.Background(), "blocker", "", func(ctx context.Context) (any, error) {
+			<-block
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim, err := s.Submit(context.Background(), "victim", "", func(ctx context.Context) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim.Cancel()
+	if st := waitDone(t, victim); st.State != Canceled {
+		t.Fatalf("victim state = %s, want canceled", st.State)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		fmt.Sprintf(`elfd_sched_jobs_total{outcome="done"} %d`, jobs/2),
+		fmt.Sprintf(`elfd_sched_jobs_total{outcome="failed"} %d`, jobs/2),
+		`elfd_sched_jobs_total{outcome="canceled"} 1`,
+	} {
+		if !strings.Contains(sb.String(), "\n"+line+"\n") {
+			t.Errorf("right after the victim's Wait, the exposition lacks %q:\n%s", line, sb.String())
+		}
+	}
+}
+
+// stopWithin shuts s down, cancelling whatever still runs after a few
+// seconds, so a test that failed with its jobs stuck still returns.
+func stopWithin(s *Scheduler) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	s.Shutdown(ctx)
+}
+
+// parentTask returns a task that submits n children running child to s
+// and waits on them all, the way an elfd experiment job waits on its cells.
+func parentTask(s *Scheduler, n int, child Task) Task {
+	return func(ctx context.Context) (any, error) {
+		kids := make([]*Job, n)
+		for i := range kids {
+			k, err := s.Submit(ctx, fmt.Sprintf("child %d", i), "", child)
+			if err != nil {
+				return nil, err
+			}
+			kids[i] = k
+		}
+		for _, k := range kids {
+			st, err := k.Wait(ctx)
+			if err != nil {
+				return nil, err
+			}
+			if st.State != Done {
+				return nil, fmt.Errorf("child %s ended %s: %s", st.ID, st.State, st.Error)
+			}
+		}
+		return n, nil
+	}
+}
+
+// TestNestedWaitOnOneWorker pins that a job waiting on jobs it submitted
+// to its own scheduler hands its worker back: on a one-worker pool its
+// children still run and it completes.
+func TestNestedWaitOnOneWorker(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer stopWithin(s)
+
+	child := func(ctx context.Context) (any, error) { return "c", nil }
+	parent, err := s.Submit(context.Background(), "parent", "", parentTask(s, 2, child))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, parent); st.State != Done || st.Result != 2 {
+		t.Fatalf("parent: %+v", st)
+	}
+	if st := s.Stats(); st.Completed != 3 || st.Running != 0 || st.Workers != 1 {
+		t.Fatalf("stats = %+v, want 3 completed, none running, 1 worker", st)
+	}
+}
+
+// TestNestedWaitKeepsWorkerBound pins that handing a worker back keeps
+// the pool size the bound on jobs doing work: with two workers and four
+// parents waiting on two children each, no more than two jobs ever run.
+func TestNestedWaitKeepsWorkerBound(t *testing.T) {
+	s := New(Config{Workers: 2, QueueDepth: 16})
+	defer stopWithin(s)
+
+	var mu sync.Mutex
+	active, peakActive, peakRunning := 0, 0, 0
+	observe := func(delta int) {
+		mu.Lock()
+		defer mu.Unlock()
+		active += delta
+		peakActive = max(peakActive, active)
+		peakRunning = max(peakRunning, s.Stats().Running)
+	}
+	child := func(ctx context.Context) (any, error) {
+		observe(1)
+		defer observe(-1)
+		time.Sleep(2 * time.Millisecond)
+		return nil, nil
+	}
+	var parents []*Job
+	for i := 0; i < 4; i++ {
+		p, err := s.Submit(context.Background(), fmt.Sprintf("parent %d", i), "", parentTask(s, 2, child))
+		if err != nil {
+			t.Fatal(err)
+		}
+		parents = append(parents, p)
+	}
+	for _, p := range parents {
+		if st := waitDone(t, p); st.State != Done {
+			t.Fatalf("parent: %+v", st)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if peakActive > 2 || peakRunning > 2 {
+		t.Fatalf("%d children ran at once and Stats showed %d running, want at most 2 each",
+			peakActive, peakRunning)
+	}
+	if st := s.Stats(); st.Completed != 12 || st.Running != 0 {
+		t.Fatalf("stats = %+v, want 12 completed and none running", st)
+	}
+}
+
+// TestNestedBacklogStartsWorkersAtATime pins the bound on top-level jobs:
+// with two workers, five parents submitted together start two at a time,
+// as on a pool without nesting, and their nested jobs, more than the
+// queue holds, are never refused, so every parent completes.
+func TestNestedBacklogStartsWorkersAtATime(t *testing.T) {
+	const parents, children = 5, 4
+	s := New(Config{Workers: 2, QueueDepth: parents})
+	defer stopWithin(s)
+
+	var mu sync.Mutex
+	active, peak := 0, 0
+	child := func(ctx context.Context) (any, error) {
+		time.Sleep(5 * time.Millisecond) // long enough for both workers to start a parent
+		return nil, nil
+	}
+	inner := parentTask(s, children, child)
+	parent := func(ctx context.Context) (any, error) {
+		mu.Lock()
+		active++
+		peak = max(peak, active)
+		mu.Unlock()
+		defer func() { mu.Lock(); active--; mu.Unlock() }()
+		return inner(ctx)
+	}
+	var jobs []*Job
+	for i := 0; i < parents; i++ {
+		p, err := s.Submit(context.Background(), fmt.Sprintf("parent %d", i), "", parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, p)
+	}
+	for _, p := range jobs {
+		if st := waitDone(t, p); st.State != Done {
+			t.Fatalf("parent: %+v", st)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if peak != 2 {
+		t.Errorf("%d parents ran at once on two workers, want 2", peak)
+	}
+	if st := s.Stats(); st.Completed != parents*(children+1) || st.Failed != 0 {
+		t.Fatalf("stats = %+v, want %d completed and none failed", st, parents*(children+1))
+	}
+}
+
+// TestNestedWaitPromotesQueuedJob pins that a queued top-level job that a
+// task waits on is not held back behind that task: on one worker, a
+// parent whose nested submission coalesces onto a top-level job queued
+// behind it still completes, with that job's result.
+func TestNestedWaitPromotesQueuedJob(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer stopWithin(s)
+	key := Key("shared")
+	queued := make(chan struct{})
+	parent, err := s.Submit(context.Background(), "parent", "", func(ctx context.Context) (any, error) {
+		<-queued
+		k, err := s.Submit(ctx, "nested", key, func(context.Context) (any, error) { return "nested", nil })
+		if err != nil {
+			return nil, err
+		}
+		st, err := k.Wait(ctx)
+		return st.Result, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(context.Background(), "top", key, func(context.Context) (any, error) { return "top", nil }); err != nil {
+		t.Fatal(err)
+	}
+	close(queued)
+	if st := waitDone(t, parent); st.State != Done || st.Result != "top" {
+		t.Fatalf("parent: %+v, want done with the queued job's result", st)
+	}
+	if st := s.Stats(); st.Completed != 2 || st.Coalesced != 1 {
+		t.Fatalf("stats = %+v, want 2 completed and 1 coalesced", st)
+	}
+}
+
+// TestShutdownDrainsNestedJobs pins that Shutdown drains jobs that submit
+// nested jobs: once it has begun, top-level submissions fail, but the
+// running parents' nested submissions are accepted and run, though each
+// parent submits them one at a time and the queue empties in between.
+func TestShutdownDrainsNestedJobs(t *testing.T) {
+	s := New(Config{Workers: 2})
+	child := func(ctx context.Context) (any, error) { return nil, nil }
+	gate := make(chan struct{})
+	one := parentTask(s, 1, child)
+	parent := func(ctx context.Context) (any, error) {
+		<-gate
+		for i := 0; i < 2; i++ {
+			if _, err := one(ctx); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	}
+	var parents []*Job
+	for i := 0; i < 2; i++ {
+		p, err := s.Submit(context.Background(), fmt.Sprintf("parent %d", i), "", parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parents = append(parents, p)
+	}
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown(context.Background()) }()
+	for {
+		s.mu.Lock()
+		closed := s.closed
+		s.mu.Unlock()
+		if closed {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := s.Submit(context.Background(), "late", "", child); !errors.Is(err, ErrShutdown) {
+		t.Fatalf("top-level submit during Shutdown: %v, want ErrShutdown", err)
+	}
+	close(gate)
+	select {
+	case err := <-shut:
+		if err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown never drained")
+	}
+	for _, j := range parents {
+		if st := j.Status(); st.State != Done {
+			t.Errorf("%s after Shutdown: %+v, want done", st.Label, st)
+		}
+	}
+	if st := s.Stats(); st.Completed != 6 {
+		t.Fatalf("stats = %+v, want 6 completed (two parents, four nested)", st)
+	}
+}
+
 func TestInflightCoalescing(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
@@ -352,11 +646,11 @@ func TestInflightCoalescing(t *testing.T) {
 		return "v", nil
 	}
 	key := Key("same")
-	j1, err := s.Submit("a", key, task)
+	j1, err := s.Submit(context.Background(), "a", key, task)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := s.Submit("b", key, task)
+	j2, err := s.Submit(context.Background(), "b", key, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,11 +683,11 @@ func TestWaiterGivingUpKeepsCoalescedJob(t *testing.T) {
 		}
 	}
 	key := Key("shared")
-	first, err := s.Submit("first", key, task)
+	first, err := s.Submit(context.Background(), "first", key, task)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.Submit("second", key, task)
+	second, err := s.Submit(context.Background(), "second", key, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +705,7 @@ func TestWaiterGivingUpKeepsCoalescedJob(t *testing.T) {
 	}
 
 	// The last submitter giving up still cancels the job.
-	last, err := s.Submit("last", Key("alone"), func(ctx context.Context) (any, error) {
+	last, err := s.Submit(context.Background(), "last", Key("alone"), func(ctx context.Context) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
@@ -438,7 +732,7 @@ func TestSubmitDoesNotJoinCanceledJob(t *testing.T) {
 	release := sync.OnceFunc(func() { close(linger) })
 	defer release() // before Shutdown, which waits for the task
 	key := Key("linger")
-	dying, err := s.Submit("dying", key, func(ctx context.Context) (any, error) {
+	dying, err := s.Submit(context.Background(), "dying", key, func(ctx context.Context) (any, error) {
 		started <- struct{}{}
 		<-ctx.Done()
 		<-linger // still in flight after the cancel
@@ -449,7 +743,7 @@ func TestSubmitDoesNotJoinCanceledJob(t *testing.T) {
 	}
 	<-started
 	dying.Cancel()
-	fresh, err := s.Submit("fresh", key, func(ctx context.Context) (any, error) { return "v", nil })
+	fresh, err := s.Submit(context.Background(), "fresh", key, func(ctx context.Context) (any, error) { return "v", nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +757,7 @@ func TestSubmitDoesNotJoinCanceledJob(t *testing.T) {
 	if st := waitDone(t, dying); st.State != Canceled {
 		t.Fatalf("cancelled job state = %s", st.State)
 	}
-	if st, err := s.Submit("cached", key, nil); err != nil || !st.Status().Cached {
+	if st, err := s.Submit(context.Background(), "cached", key, nil); err != nil || !st.Status().Cached {
 		t.Fatalf("the fresh result was not cached: %v", err)
 	}
 }
@@ -475,14 +769,14 @@ func TestQueueFull(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	slow := func(ctx context.Context) (any, error) { <-block; return nil, nil }
-	if _, err := s.Submit("running", "", slow); err != nil {
+	if _, err := s.Submit(context.Background(), "running", "", slow); err != nil {
 		t.Fatal(err)
 	}
 	// The worker may not have dequeued the first job yet; fill until full.
 	deadline := time.Now().Add(5 * time.Second)
 	n := 0
 	for {
-		_, err := s.Submit(fmt.Sprintf("q%d", n), "", slow)
+		_, err := s.Submit(context.Background(), fmt.Sprintf("q%d", n), "", slow)
 		if errors.Is(err, ErrQueueFull) {
 			break
 		}
@@ -506,7 +800,7 @@ func TestCancelRunningJob(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	j, err := s.Submit("c", "", task)
+	j, err := s.Submit(context.Background(), "c", "", task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -526,14 +820,14 @@ func TestCancelQueuedJob(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	block := make(chan struct{})
-	if _, err := s.Submit("blocker", "", func(ctx context.Context) (any, error) {
+	if _, err := s.Submit(context.Background(), "blocker", "", func(ctx context.Context) (any, error) {
 		<-block
 		return nil, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	ran := false
-	j, err := s.Submit("victim", "", func(ctx context.Context) (any, error) {
+	j, err := s.Submit(context.Background(), "victim", "", func(ctx context.Context) (any, error) {
 		ran = true
 		return nil, nil
 	})
@@ -557,7 +851,7 @@ func TestJobTimeout(t *testing.T) {
 	s := New(Config{Workers: 1, JobTimeout: 20 * time.Millisecond})
 	defer s.Shutdown(context.Background())
 
-	j, err := s.Submit("slow", "", func(ctx context.Context) (any, error) {
+	j, err := s.Submit(context.Background(), "slow", "", func(ctx context.Context) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
@@ -574,7 +868,7 @@ func TestTaskPanicBecomesFailure(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
 
-	j, err := s.Submit("boom", "", func(ctx context.Context) (any, error) {
+	j, err := s.Submit(context.Background(), "boom", "", func(ctx context.Context) (any, error) {
 		panic("kaboom")
 	})
 	if err != nil {
@@ -585,7 +879,7 @@ func TestTaskPanicBecomesFailure(t *testing.T) {
 		t.Fatalf("panicking job: %+v", st)
 	}
 	// The pool must survive: a follow-up job still runs.
-	j2, err := s.Submit("after", "", func(ctx context.Context) (any, error) { return "ok", nil })
+	j2, err := s.Submit(context.Background(), "after", "", func(ctx context.Context) (any, error) { return "ok", nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +893,7 @@ func TestShutdownDrainsAndRejects(t *testing.T) {
 	var done int
 	var mu sync.Mutex
 	for i := 0; i < 8; i++ {
-		if _, err := s.Submit("drain", "", func(ctx context.Context) (any, error) {
+		if _, err := s.Submit(context.Background(), "drain", "", func(ctx context.Context) (any, error) {
 			mu.Lock()
 			done++
 			mu.Unlock()
@@ -616,7 +910,7 @@ func TestShutdownDrainsAndRejects(t *testing.T) {
 		t.Errorf("drained %d jobs, want 8", done)
 	}
 	mu.Unlock()
-	if _, err := s.Submit("late", "", func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrShutdown) {
+	if _, err := s.Submit(context.Background(), "late", "", func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrShutdown) {
 		t.Errorf("post-shutdown submit: %v", err)
 	}
 }
@@ -624,7 +918,7 @@ func TestShutdownDrainsAndRejects(t *testing.T) {
 func TestShutdownDeadlineCancelsJobs(t *testing.T) {
 	s := New(Config{Workers: 1})
 	started := make(chan struct{})
-	if _, err := s.Submit("hang", "", func(ctx context.Context) (any, error) {
+	if _, err := s.Submit(context.Background(), "hang", "", func(ctx context.Context) (any, error) {
 		close(started)
 		<-ctx.Done() // only a cancel releases this task
 		return nil, ctx.Err()
@@ -652,7 +946,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 64; i++ {
 				key := Key("stress", i%16) // plenty of key collisions
-				j, err := s.Submit("stress", key, func(ctx context.Context) (any, error) {
+				j, err := s.Submit(context.Background(), "stress", key, func(ctx context.Context) (any, error) {
 					return g, nil
 				})
 				if err != nil {

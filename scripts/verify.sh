@@ -69,6 +69,17 @@ go test -race -count=1 -run TestCoordinatorDispatchesExperimentCells ./cmd/elfd/
 # registries and rings are no-ops, elfd's run counts are per server, and
 # the case-2b overshoot squash is counted where the pipeline performs it.
 go test -race -count=1 -run 'TestNilSinksAreNoOps|TestCounterValues|TestStatsMatchExposedSeries|TestFleetRetrySpansAndEvents|TestDiskMetricsAndEvents|TestRunCountsArePerServer|TestCaseTwoBOvershootSquashCounted' ./internal/obs/ ./internal/sched/ ./internal/exec/ ./internal/store/ ./cmd/elfd/ ./internal/pipeline/
+# One scheduler per process, race-checked: a job is counted before its
+# waiters are released (run 50 times, since the old race was narrow); a
+# job waiting on nested jobs hands its worker back (one worker still
+# completes it, two workers still bound four such parents), a burst of such
+# jobs starts Workers at a time, a queued job they wait on is not held back,
+# and Shutdown drains them; elfd runs jobs, POST /v1/cells and every
+# experiment cell on one pool with one cache and one set of counters,
+# never refuses an experiment's cells, runs a burst of experiments to
+# completion and drains them on shutdown.
+go test -race -count=50 -run TestCountedBeforeWaitReturns ./internal/sched/
+go test -race -count=1 -run 'TestNestedWaitOnOneWorker|TestNestedWaitKeepsWorkerBound|TestNestedBacklogStartsWorkersAtATime|TestNestedWaitPromotesQueuedJob|TestShutdownDrainsNestedJobs|TestExperimentCellsShareThePool|TestExperimentCellsOutgrowTheQueue|TestExperimentBurstStartsWorkersAtATime|TestShutdownDrainsExperimentJobs|TestPostedCellServesLaterExperiment|TestWorkersBoundEverySimulation' ./internal/sched/ ./cmd/elfd/
 # CLI smoke: elfbench has no tests, so this is the gate on its -exp wiring.
 go run ./cmd/elfbench -exp all -warmup 1000 -insts 4000 -format csv >/dev/null
 # In-process CLI smoke: elfsim, elfview and elfbench -hist have no tests,
