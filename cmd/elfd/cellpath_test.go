@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -31,8 +32,8 @@ func openTestStore(t *testing.T) *store.Disk {
 // wires one.
 func storeServer(t *testing.T, st store.Store) *server {
 	t.Helper()
-	return newTestServer(t, exec.LocalConfig{Workers: 1, QueueDepth: 8},
-		eval.Params{Warmup: 1_000, Measure: 4_000}, serverOptions{Store: st})
+	return newTestServer(t, exec.LocalConfig{Workers: 1, QueueDepth: 8, Store: st},
+		eval.Params{Warmup: 1_000, Measure: 4_000}, serverOptions{})
 }
 
 // storeWorker serves an elfd worker over st behind httptest.
@@ -43,8 +44,8 @@ func storeWorker(t *testing.T, st store.Store) *httptest.Server {
 	return ws
 }
 
-// postCell runs c through POST /v1/cells and decodes the result.
-func postCell(t *testing.T, base string, c eval.Cell) eval.Result {
+// postCellBytes runs c through POST /v1/cells and returns the reply body.
+func postCellBytes(t *testing.T, base string, c eval.Cell) []byte {
 	t.Helper()
 	body, err := json.Marshal(c)
 	if err != nil {
@@ -58,11 +59,45 @@ func postCell(t *testing.T, base string, c eval.Cell) eval.Result {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/cells: %s", resp.Status)
 	}
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// postCell runs c through POST /v1/cells and decodes the result.
+func postCell(t *testing.T, base string, c eval.Cell) eval.Result {
+	t.Helper()
 	var r eval.Result
-	if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+	if err := json.Unmarshal(postCellBytes(t, base, c), &r); err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// uelfCell is the small 641.leela_s U-ELF cell the one-encoding tests run.
+func uelfCell() eval.Cell {
+	return eval.Cell{Workload: "641.leela_s", Config: pipeline.DefaultConfig().WithVariant(core.UELF),
+		Warmup: 1_000, Measure: 4_000}
+}
+
+// plantIndented opens a store holding, under c's key, a Result encoded
+// with non-canonical whitespace, and returns the store, the planted bytes
+// and the Result they decode to.
+func plantIndented(t *testing.T, c eval.Cell) (*store.Disk, []byte, eval.Result) {
+	t.Helper()
+	planted := eval.Result{Workload: c.Workload, Config: c.Config.Name(), IPC: 1.25, Committed: 42}
+	b, err := json.MarshalIndent(planted, " ", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = append(b, "\n\n"...)
+	st := openTestStore(t)
+	if err := st.Put(sched.Key("cell", c), b); err != nil {
+		t.Fatal(err)
+	}
+	return st, b, planted
 }
 
 // TestOneCellPath pins that exec.Local, elfd's POST /v1/cells and
@@ -180,6 +215,75 @@ func TestOneCellPath(t *testing.T) {
 	}
 	if st := prefilled.Stats()[0]; st.Hits != 1 || st.Puts != 1 {
 		t.Fatalf("prefilled store = %+v, want hits=1 puts=1 (the plant only)", st)
+	}
+}
+
+// TestCellReplyIsTheStoredBytes pins one encoding per cell Result on a
+// worker: POST /v1/cells answers with exactly the bytes its store holds
+// under the cell key, whether the cell was simulated, repeated from the
+// scheduler cache or read from the store, so a record planted with
+// non-canonical whitespace comes back byte for byte.
+func TestCellReplyIsTheStoredBytes(t *testing.T) {
+	c := uelfCell()
+	key := sched.Key("cell", c)
+	st := openTestStore(t)
+	srv := storeServer(t, st)
+	ws := httptest.NewServer(srv)
+	t.Cleanup(ws.Close)
+
+	fresh := postCellBytes(t, ws.URL, c)
+	stored, ok, err := st.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("store Get after a fresh cell: ok=%v err=%v", ok, err)
+	}
+	if !bytes.Equal(fresh, stored) {
+		t.Fatalf("fresh cell: reply is not the stored bytes:\nreply  %q\nstored %q", fresh, stored)
+	}
+	before := srv.sched.Stats()
+	repeat := postCellBytes(t, ws.URL, c)
+	if after := srv.sched.Stats(); after.Cache.Hits != before.Cache.Hits+1 {
+		t.Fatalf("repeat was not a cache hit: before %+v after %+v", before.Cache, after.Cache)
+	}
+	if !bytes.Equal(repeat, stored) {
+		t.Fatalf("cache repeat: reply is not the stored bytes:\nreply  %q\nstored %q", repeat, stored)
+	}
+
+	prefilled, planted, _ := plantIndented(t, c)
+	if got := postCellBytes(t, storeWorker(t, prefilled).URL, c); !bytes.Equal(got, planted) {
+		t.Fatalf("store hit: reply is not the planted bytes:\nreply   %q\nplanted %q", got, planted)
+	}
+	if ts := prefilled.Stats()[0]; ts.Hits != 1 || ts.Puts != 1 {
+		t.Fatalf("prefilled store = %+v, want hits=1 puts=1 (the plant only)", ts)
+	}
+}
+
+// TestCoordinatorKeepsWorkerBytes pins that a Fleet with a store keeps
+// exactly the bytes its worker sent: a record planted in the worker's
+// store with non-canonical whitespace lands in the coordinator's store
+// byte for byte, and decodes to the planted Result.
+func TestCoordinatorKeepsWorkerBytes(t *testing.T) {
+	c := uelfCell()
+	workerStore, planted, want := plantIndented(t, c)
+	coordStore := openTestStore(t)
+	f, err := exec.NewFleet(exec.FleetConfig{Workers: []string{storeWorker(t, workerStore).URL},
+		Store: coordStore})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := f.Run(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("fleet returned %+v, want the planted %+v", got, want)
+	}
+	kept, ok, err := coordStore.Get(sched.Key("cell", c))
+	if err != nil || !ok {
+		t.Fatalf("coordinator store Get: ok=%v err=%v", ok, err)
+	}
+	if !bytes.Equal(kept, planted) {
+		t.Fatalf("coordinator stored other bytes than its worker sent:\nkept    %q\nplanted %q", kept, planted)
 	}
 }
 

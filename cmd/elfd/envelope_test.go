@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"elfetch/internal/eval"
@@ -70,6 +71,13 @@ func TestErrorEnvelope(t *testing.T) {
 		{"cell unknown workload", "POST", "/v1/cells",
 			eval.Cell{Workload: "nope", Config: pipeline.DefaultConfig(), Measure: 1000},
 			http.StatusNotFound, "not_found"},
+		// Bodies past maxRequestBytes are refused before they are read
+		// in full, however well-formed.
+		{"cell over the body bound", "POST", "/v1/cells",
+			eval.Cell{Workload: strings.Repeat("x", 2<<20), Config: pipeline.DefaultConfig(), Measure: 1000},
+			http.StatusBadRequest, "bad_request"},
+		{"submit over the body bound", "POST", "/v1/jobs",
+			map[string]any{"workload": strings.Repeat("x", 2<<20)}, http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

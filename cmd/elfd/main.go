@@ -79,12 +79,13 @@ import (
 
 // newBackend builds the one pool of a server wired with opt, and the
 // backend its experiments' cells run through (see exec.NewBackend). The
-// pool is an exec.Local sized by cfg: newServer submits the server's jobs
-// to its scheduler, and the Local runs cells there too. It shares opt's
-// registry, flight recorder, span log and store, and its probe feeds the
-// server's elf_* histograms (NewProbe is idempotent per registry).
+// pool is an exec.Local sized by cfg, which also carries the store:
+// newServer submits the server's jobs to its scheduler, and the Local runs
+// cells there too. It shares opt's registry, flight recorder and span log,
+// and its probe feeds the server's elf_* histograms (NewProbe is
+// idempotent per registry).
 func newBackend(opt serverOptions, addrs []string, cfg exec.LocalConfig) (*exec.Local, exec.Backend, error) {
-	cfg.Metrics, cfg.Probe, cfg.Events, cfg.Store = opt.Metrics, eval.NewProbe(opt.Metrics), opt.Events, opt.Store
+	cfg.Metrics, cfg.Probe, cfg.Events = opt.Metrics, eval.NewProbe(opt.Metrics), opt.Events
 	return exec.NewBackend(addrs, cfg, opt.Spans)
 }
 
@@ -171,10 +172,10 @@ func main() {
 	}
 
 	opt := serverOptions{Metrics: reg, Logger: logger, Pprof: *pprofOn,
-		Events: events, Spans: spans, Store: st}
+		Events: events, Spans: spans}
 	addrs := exec.SplitWorkers(*fleet)
 	local, backend, err := newBackend(opt, addrs, exec.LocalConfig{Workers: *workers,
-		QueueDepth: *queue, JobTimeout: *jobTimeout, CacheSize: *cacheSize, SlowCell: slowCell})
+		QueueDepth: *queue, JobTimeout: *jobTimeout, CacheSize: *cacheSize, SlowCell: slowCell, Store: st})
 	if err != nil {
 		logger.Error("fleet setup", "err", err)
 		os.Exit(2)

@@ -26,7 +26,6 @@ import (
 	"elfetch/internal/pipeline"
 	"elfetch/internal/report"
 	"elfetch/internal/sched"
-	"elfetch/internal/store"
 	"elfetch/internal/workload"
 )
 
@@ -56,16 +55,11 @@ type serverOptions struct {
 	// GET /metrics (the fleet view) and adds per-worker scrape status to
 	// /debug/stats. The caller owns the scrape cadence.
 	Federation *obs.Federation
-	// Store, when non-nil, is the persistent result store: POST /v1/cells
-	// and run jobs of registered workloads consult it under the cell key
-	// before simulating and fill it after (the Backend carries its own
-	// reference for experiment cells). The caller owns it (closes it on
-	// shutdown).
-	Store store.Store
 }
 
 // server wires the scheduler to the HTTP mux.
 type server struct {
+	local    *exec.Local
 	sched    *sched.Scheduler
 	defaults eval.Params
 	start    time.Time
@@ -77,13 +71,12 @@ type server struct {
 	events   *obs.Ring
 	spans    *obs.SpanLog
 	fed      *obs.Federation
-	store    store.Store
 	reqID    atomic.Uint64
 }
 
 // newServer serves over local: the server submits every job, run job and
 // POST /v1/cells to local's scheduler, the pool the Local runs experiment
-// cells on too.
+// cells on too, and runs its cells on local's store and probe.
 func newServer(local *exec.Local, defaults eval.Params, opt serverOptions) *server {
 	if opt.Metrics == nil {
 		opt.Metrics = obs.NewRegistry()
@@ -98,10 +91,9 @@ func newServer(local *exec.Local, defaults eval.Params, opt serverOptions) *serv
 		opt.Spans = obs.NewSpanLog(0)
 	}
 	srv := &server{
-		sched: local.Scheduler(), defaults: defaults, start: time.Now(), mux: http.NewServeMux(),
-		reg: opt.Metrics, log: opt.Logger, backend: opt.Backend,
+		local: local, sched: local.Scheduler(), defaults: defaults, start: time.Now(),
+		mux: http.NewServeMux(), reg: opt.Metrics, log: opt.Logger, backend: opt.Backend,
 		events: opt.Events, spans: opt.Spans, fed: opt.Federation,
-		store: opt.Store,
 	}
 	// Registering the probe up front makes the four elf_* histogram
 	// families visible on /metrics from the first scrape, even before any
@@ -277,6 +269,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// maxRequestBytes bounds the body of POST /v1/cells and POST /v1/jobs;
+// a longer one answers 400 bad_request. A cell is about 620 bytes and a
+// job with workloadJSON a few KB.
+const maxRequestBytes = 1 << 20
+
 // jobRequest is the POST /v1/jobs body.
 type jobRequest struct {
 	// Kind selects the job: "run" (default; one workload × one config)
@@ -383,10 +380,11 @@ func (s *server) buildExperiment(name string, p eval.Params) (label, key string,
 }
 
 // buildRun assembles a single (workload, config) measurement job. An
-// untraced run of a registered workload is a cell: it is the CellTask job,
-// under the key, store and cache that POST /v1/cells uses. Custom-workload
-// and traced runs share one task, which measures in the job itself; only a
-// traced run attaches a tracer, and its payload is a runResult.
+// untraced run of a registered workload is a cell: it is the Local's
+// CellTask job, under the key, store and cache that POST /v1/cells uses.
+// Custom-workload and traced runs share one task, which measures in the
+// job itself; only a traced run attaches a tracer, and its payload is a
+// runResult.
 func (s *server) buildRun(req *jobRequest, p eval.Params) (label, key string, task sched.Task, err error) {
 	cfg := pipeline.DefaultConfig()
 	switch {
@@ -415,7 +413,7 @@ func (s *server) buildRun(req *jobRequest, p eval.Params) (label, key string, ta
 		}
 		if !req.Trace {
 			c := eval.Cell{Workload: e.Name, Config: cfg, Warmup: p.Warmup, Measure: p.Measure}
-			label, key, task = exec.CellTask(c, s.store, s.probe, func() { s.countRun(cfgName) })
+			label, key, task = s.local.CellTask(c, func() { s.countRun(cfgName) })
 			return label, key, task, nil
 		}
 		entry = e
@@ -486,16 +484,17 @@ type runResult struct {
 
 // handleCell executes one evaluation cell synchronously — the fleet
 // worker endpoint internal/exec.Fleet dispatches to. The cell runs on this
-// server's scheduler as an exec.CellTask job, the one cell path exec.Local
-// and run jobs also take: the same content address, the persistent store
-// behind the scheduler cache, repeats answered from cache and identical
-// cells coalesced in flight. This handler only decodes, validates and maps
-// the outcome onto the error envelope. Cells always run on this worker's
-// scheduler, never through the backend — a worker forwarding its cells
-// back out would loop.
+// server's scheduler as its Local's CellTask job, the one cell path
+// exec.Local.Run and run jobs also take: the same content address, the
+// persistent store behind the scheduler cache, repeats answered from cache
+// and identical cells coalesced in flight. The reply is the payload's
+// bytes, the ones the store keeps. This handler only decodes, validates
+// and maps the outcome onto the error envelope. Cells always run on this
+// worker's scheduler, never through the backend — a worker forwarding its
+// cells back out would loop.
 func (s *server) handleCell(w http.ResponseWriter, r *http.Request) {
 	var c eval.Cell
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
 		writeErr(w, r, badRequest("decoding cell: %v", err))
@@ -510,7 +509,7 @@ func (s *server) handleCell(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfgName := c.Config.Name()
-	label, key, task := exec.CellTask(c, s.store, s.probe, func() { s.countRun(cfgName) })
+	label, key, task := s.local.CellTask(c, func() { s.countRun(cfgName) })
 	j, err := s.sched.Submit(r.Context(), label, key, task)
 	if err != nil {
 		writeErr(w, r, err)
@@ -522,12 +521,14 @@ func (s *server) handleCell(w http.ResponseWriter, r *http.Request) {
 	}
 	switch st.State {
 	case sched.Done:
-		res, ok := st.Result.(eval.Result)
+		res, ok := st.Result.(exec.EncodedResult)
 		if !ok {
 			writeErr(w, r, fmt.Errorf("unexpected cell payload %T", st.Result))
 			return
 		}
-		writeJSON(w, http.StatusOK, res)
+		b, _ := res.MarshalJSON() // the bytes it holds; never an error
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(b)
 	case sched.Canceled:
 		writeErr(w, r, &httpError{status: http.StatusConflict, code: exec.CodeCanceled,
 			err: fmt.Errorf("cell canceled: %s", st.Error)})
@@ -549,7 +550,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // simulation. Otherwise it returns 202 with the job id for polling.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeErr(w, r, badRequest("decoding job request: %v", err))
@@ -763,14 +764,12 @@ type statsResponse struct {
 	VariantRuns   map[string]uint64 `json:"variantRuns"`
 	// Exec carries the backend's counters: on a single node the Local's,
 	// whose scheduler is Scheduler itself; on a coordinator the fleet's
-	// dispatch ledger.
+	// dispatch ledger. Its store block carries the persistent store's
+	// per-tier counters when one is attached (-store-dir).
 	Exec *exec.Stats `json:"exec,omitempty"`
 	// Federation carries the per-worker scrape breakdown when the server
 	// federates worker metrics.
 	Federation []obs.FedWorker `json:"federation,omitempty"`
-	// Store carries the persistent result store's per-tier counters when
-	// one is attached (-store-dir).
-	Store []store.TierStats `json:"store,omitempty"`
 	// Events summarises the flight recorder (total ever recorded).
 	EventsTotal uint64 `json:"eventsTotal"`
 }
@@ -793,9 +792,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Exec = &es
 	if s.fed != nil {
 		resp.Federation = s.fed.Summary()
-	}
-	if s.store != nil {
-		resp.Store = s.store.Stats()
 	}
 	resp.EventsTotal = s.events.Total()
 	writeJSON(w, http.StatusOK, resp)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 
 	"elfetch/internal/eval"
-	"elfetch/internal/pipeline"
 	"elfetch/internal/sched"
 	"elfetch/internal/store"
 )
@@ -16,56 +15,69 @@ import (
 // shares one address space.
 func cellKey(c eval.Cell) string { return sched.Key("cell", c) }
 
-// loadResult decodes the stored result for key. A miss, a store error and
-// a value that fails to decode (format drift) all count as a miss: the
-// store never blocks progress.
-func loadResult(st store.Store, key string) (eval.Result, bool) {
-	b, ok, _ := st.Get(key)
-	if !ok {
-		return eval.Result{}, false
-	}
+// EncodedResult is a finished cell's payload: its Result and the JSON
+// bytes that Result was encoded into once, by CellTask after simulating,
+// or was decoded from by decodeResult (a stored record or a worker's 200
+// reply). MarshalJSON returns those bytes, so the scheduler cache sizes
+// the entry by them, the store and the Fleet keep them, and elfd's
+// POST /v1/cells writes them verbatim.
+type EncodedResult struct {
+	Result  eval.Result
+	encoded []byte
+}
+
+// MarshalJSON returns the bytes the Result was encoded into or read from.
+func (e EncodedResult) MarshalJSON() ([]byte, error) { return e.encoded, nil }
+
+// decodeResult is the one place a cell's stored or received bytes are
+// decoded; the payload keeps those bytes.
+func decodeResult(b []byte) (EncodedResult, error) {
 	var r eval.Result
-	if err := json.Unmarshal(b, &r); err != nil {
-		return eval.Result{}, false
-	}
-	return r, true
+	err := json.Unmarshal(b, &r)
+	return EncodedResult{Result: r, encoded: b}, err
 }
 
-// saveResult writes r under key as JSON for the next process. Failures are
-// dropped, like a miss on the read side.
-func saveResult(st store.Store, key string, r eval.Result) {
-	if b, err := json.Marshal(r); err == nil {
-		_ = st.Put(key, b)
-	}
+// loadResult reads the stored result for key. A miss, a store error and a
+// value that fails to decode (format drift) all count as a miss: the
+// store never blocks progress.
+func loadResult(st store.Store, key string) (EncodedResult, bool) {
+	b, ok, _ := st.Get(key)
+	e, err := decodeResult(b)
+	return e, ok && err == nil
 }
 
-// CellTask returns the scheduler job that runs c: its label
-// "cell WORKLOAD/CONFIG", its key cellKey(c) and the store-behind-cache
-// task. Submitted to a sched.Scheduler, a cached cell is answered without
-// running anything and identical cells coalesce in flight. The task itself
-// consults st (when non-nil) before simulating — a stored result decodes
-// without simulating and the scheduler still promotes it into its cache —
-// and writes a fresh simulation back. probe is attached to the machine
-// after warmup; ran, when non-nil, is called once per fresh simulation
-// (never for a store hit).
-func CellTask(c eval.Cell, st store.Store, probe *pipeline.Probe, ran func()) (label, key string, task sched.Task) {
+// CellTask returns the scheduler job that runs c on l's store and probe:
+// its label "cell WORKLOAD/CONFIG", its key cellKey(c) and the
+// store-behind-cache task, whose payload is an EncodedResult. Submitted to
+// l's scheduler, a cached cell is answered without running anything and
+// identical cells coalesce in flight. The task itself consults the store
+// (when l has one) before simulating — a stored result decodes without
+// simulating and the scheduler still promotes it into its cache — and
+// puts a fresh simulation's bytes back; a failed Put is dropped, like a
+// miss. The probe is attached to the machine after warmup; ran, when
+// non-nil, is called once per fresh simulation (never for a store hit).
+func (l *Local) CellTask(c eval.Cell, ran func()) (label, key string, task sched.Task) {
 	key = cellKey(c)
 	return "cell " + c.Workload + "/" + c.Config.Name(), key, func(ctx context.Context) (any, error) {
-		if st != nil {
-			if r, ok := loadResult(st, key); ok {
-				return r, nil
+		if l.store != nil {
+			if e, ok := loadResult(l.store, key); ok {
+				return e, nil
 			}
 		}
-		r, err := eval.RunCell(ctx, c, probe)
+		r, err := eval.RunCell(ctx, c, l.probe)
 		if err != nil {
 			return nil, err
 		}
-		if st != nil {
-			saveResult(st, key, r)
+		b, err := json.Marshal(r) // the one place a cell's Result is encoded
+		if err != nil {
+			return nil, err
+		}
+		if l.store != nil {
+			_ = l.store.Put(key, b)
 		}
 		if ran != nil {
 			ran()
 		}
-		return r, nil
+		return EncodedResult{Result: r, encoded: b}, nil
 	}
 }

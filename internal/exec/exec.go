@@ -13,11 +13,14 @@
 //     when the whole fleet is unreachable.
 //
 // This package is also the only owner of how one cell runs against the
-// scheduler cache and the persistent store: the cell key, the
-// store-behind-cache task (CellTask, which Local, elfd's POST /v1/cells
-// and elfd's run jobs of registered workloads submit to their scheduler)
-// and the encoding of a stored eval.Result (JSON; an undecodable value is
-// a miss), which Fleet also uses around its dispatch.
+// scheduler cache and the persistent store, and of a finished cell's
+// bytes: the cell key, the store-behind-cache task (the Local method
+// CellTask, which Local.Run, elfd's POST /v1/cells and elfd's run jobs of
+// registered workloads submit to the Local's scheduler) and its payload,
+// an EncodedResult holding the eval.Result and the JSON it was encoded
+// into once or read from. The stored encoding is the payload's bytes (an
+// undecodable value is a miss), and POST /v1/cells sends them verbatim;
+// Fleet decodes a worker's reply once and stores the same bytes.
 //
 // The sim core is deterministic (enforced by elflint and the runtime
 // determinism tests), so a cell produces bit-identical Results no matter

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -147,56 +148,81 @@ func TestFleetShardsAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestFleetQuarantinesAndRequeues covers a worker that fails a cell in a
+// way that blames it: a 5xx, a 200 whose body does not decode, and a 200
+// longer than maxReplyBytes (a Result padded with whitespace, which would
+// decode without the bound). Each time that worker is quarantined, its
+// cell is requeued onto the healthy worker and every Result is
+// eval.RunCell's.
 func TestFleetQuarantinesAndRequeues(t *testing.T) {
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer bad.Close()
-	good := httptest.NewServer(cellMux(t))
-	defer good.Close()
+	ctx := context.Background()
+	reply := func(body []byte) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) { w.Write(body) }
+	}
+	for _, tc := range []struct {
+		name string
+		bad  http.HandlerFunc
+	}{
+		{"5xx", func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "boom", http.StatusInternalServerError)
+		}},
+		{"200 garbage", reply([]byte("not a result"))},
+		{"200 over the read bound", reply(append(bytes.Repeat([]byte(" "), maxReplyBytes), `{"ipc":1}`...))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := httptest.NewServer(tc.bad)
+			defer bad.Close()
+			good := httptest.NewServer(cellMux(t))
+			defer good.Close()
 
-	f, err := NewFleet(FleetConfig{
-		Workers:        []string{bad.URL, good.URL},
-		HealthInterval: time.Hour, // keep the prober from reviving bad mid-test
-	})
-	if err != nil {
-		t.Fatalf("NewFleet: %v", err)
-	}
-	defer f.Close()
+			f, err := NewFleet(FleetConfig{
+				Workers:        []string{bad.URL, good.URL},
+				HealthInterval: time.Hour, // keep the prober from reviving bad mid-test
+			})
+			if err != nil {
+				t.Fatalf("NewFleet: %v", err)
+			}
+			defer f.Close()
 
-	// Run enough distinct cells that round-robin is guaranteed to hand at
-	// least one to the bad worker first.
-	for i := 0; i < 3; i++ {
-		c := testCell()
-		c.Warmup += uint64(i)
-		if _, err := f.Run(context.Background(), c); err != nil {
-			t.Fatalf("Run %d should recover via requeue: %v", i, err)
-		}
-	}
-	st := f.Stats()
-	var badWS, goodWS *WorkerStats
-	for i := range st.Workers {
-		switch st.Workers[i].Addr {
-		case bad.URL:
-			badWS = &st.Workers[i]
-		case good.URL:
-			goodWS = &st.Workers[i]
-		}
-	}
-	if badWS == nil || goodWS == nil {
-		t.Fatalf("missing worker stats: %+v", st.Workers)
-	}
-	if badWS.Healthy {
-		t.Fatal("failing worker should be quarantined")
-	}
-	if badWS.Requeued == 0 {
-		t.Fatalf("expected requeues off the failing worker: %+v", badWS)
-	}
-	if goodWS.Dispatched == 0 || !goodWS.Healthy {
-		t.Fatalf("healthy worker should have absorbed the cells: %+v", goodWS)
-	}
-	if st.Failed != 0 {
-		t.Fatalf("no cell should have failed: %+v", st)
+			// Run enough distinct cells that round-robin is guaranteed to
+			// hand at least one to the bad worker first.
+			for i := 0; i < 3; i++ {
+				c := testCell()
+				c.Warmup += uint64(i)
+				got, err := f.Run(ctx, c)
+				if err != nil {
+					t.Fatalf("Run %d should recover via requeue: %v", i, err)
+				}
+				if want, err := eval.RunCell(ctx, c, nil); err != nil || got != want {
+					t.Fatalf("Run %d = %+v, want eval.RunCell's %+v (err %v)", i, got, want, err)
+				}
+			}
+			st := f.Stats()
+			var badWS, goodWS *WorkerStats
+			for i := range st.Workers {
+				switch st.Workers[i].Addr {
+				case bad.URL:
+					badWS = &st.Workers[i]
+				case good.URL:
+					goodWS = &st.Workers[i]
+				}
+			}
+			if badWS == nil || goodWS == nil {
+				t.Fatalf("missing worker stats: %+v", st.Workers)
+			}
+			if badWS.Healthy {
+				t.Fatal("failing worker should be quarantined")
+			}
+			if badWS.Requeued == 0 {
+				t.Fatalf("expected requeues off the failing worker: %+v", badWS)
+			}
+			if goodWS.Dispatched == 0 || !goodWS.Healthy {
+				t.Fatalf("healthy worker should have absorbed the cells: %+v", goodWS)
+			}
+			if st.Failed != 0 || st.Fallback != 0 {
+				t.Fatalf("no cell should fail or fall back: %+v", st)
+			}
+		})
 	}
 }
 

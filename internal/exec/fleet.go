@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -24,6 +25,10 @@ const (
 	healthPath = "/v1/healthz"
 	// retryMax caps the jittered exponential backoff between attempts.
 	retryMax = 5 * time.Second
+	// maxReplyBytes bounds the body of a worker's 200 reply to POST
+	// /v1/cells: a Result encodes to well under a kilobyte, so a longer
+	// reply is a broken worker, quarantined like an undecodable one.
+	maxReplyBytes = 1 << 20
 )
 
 // FleetConfig wires a fleet of remote elfd workers.
@@ -67,9 +72,10 @@ type FleetConfig struct {
 	SlowCell time.Duration
 	// Store, when non-nil, is the persistent result store: consulted
 	// under the cell key before dispatching (a hit skips the fleet
-	// entirely) and filled after a successful remote run. The fleet does
-	// not own the store (the caller closes it); the fallback backend
-	// fills it on its own when it carries the same store.
+	// entirely) and given the worker's reply bytes after a successful
+	// remote run. The fleet does not own the store (the caller closes
+	// it); the fallback backend fills it on its own when it carries the
+	// same store.
 	Store store.Store
 }
 
@@ -285,14 +291,14 @@ func (e *cellError) Unwrap() error { return e.err }
 // as `traceparent` (stitching the worker into the coordinator's trace)
 // and as `X-Request-ID` (one ID per attempt, joining worker access logs
 // to this exact dispatch).
-func (f *Fleet) post(ctx context.Context, w *worker, body []byte, hop *obs.Span) (eval.Result, *cellError) {
+func (f *Fleet) post(ctx context.Context, w *worker, body []byte, hop *obs.Span) (EncodedResult, *cellError) {
 	w.inFlight.Add(1)
 	defer w.inFlight.Add(-1)
 	w.dispatched.Inc()
 
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.addr+"/v1/cells", bytes.NewReader(body))
 	if err != nil {
-		return eval.Result{}, &cellError{err: err, permanent: true}
+		return EncodedResult{}, &cellError{err: err, permanent: true}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if hop != nil {
@@ -302,24 +308,32 @@ func (f *Fleet) post(ctx context.Context, w *worker, body []byte, hop *obs.Span)
 	resp, err := f.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			return eval.Result{}, &cellError{err: ctx.Err(), permanent: true}
+			return EncodedResult{}, &cellError{err: ctx.Err(), permanent: true}
 		}
-		return eval.Result{}, &cellError{err: fmt.Errorf("%s: %w", w.addr, err), quarantine: true}
+		return EncodedResult{}, &cellError{err: fmt.Errorf("%s: %w", w.addr, err), quarantine: true}
 	}
-	// Bounded drain-before-close: the decoder stops at the end of the JSON
-	// document, and error arms may abandon the body entirely; reading the
-	// remainder out is what lets the transport reuse the connection.
+	// Bounded drain-before-close: an over-long reply and the envelope
+	// decoder stop short of the body's end, and error arms may abandon it
+	// entirely; reading the remainder out is what lets the transport reuse
+	// the connection.
 	defer obs.DrainClose(resp.Body)
 
 	if resp.StatusCode == http.StatusOK {
-		var r eval.Result
-		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
-			return eval.Result{}, &cellError{
+		b, err := io.ReadAll(io.LimitReader(resp.Body, maxReplyBytes+1))
+		if err == nil && len(b) > maxReplyBytes {
+			err = fmt.Errorf("reply exceeds %d bytes", maxReplyBytes)
+		}
+		var e EncodedResult
+		if err == nil {
+			e, err = decodeResult(b)
+		}
+		if err != nil {
+			return EncodedResult{}, &cellError{
 				err:        fmt.Errorf("%s: undecodable result: %w", w.addr, err),
 				quarantine: true,
 			}
 		}
-		return r, nil
+		return e, nil
 	}
 
 	var env ErrorEnvelope
@@ -337,12 +351,12 @@ func (f *Fleet) post(ctx context.Context, w *worker, body []byte, hop *obs.Span)
 	case code == CodeSimFailed || (resp.StatusCode >= 400 && resp.StatusCode < 500):
 		// The sim is deterministic: a cell the worker rejected or failed
 		// on would fail identically anywhere. Don't blame the worker.
-		return eval.Result{}, &cellError{err: werr, permanent: true}
+		return EncodedResult{}, &cellError{err: werr, permanent: true}
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		// Overloaded or draining, not broken — retry without quarantine.
-		return eval.Result{}, &cellError{err: werr}
+		return EncodedResult{}, &cellError{err: werr}
 	default:
-		return eval.Result{}, &cellError{err: werr, quarantine: true}
+		return EncodedResult{}, &cellError{err: werr, quarantine: true}
 	}
 }
 
@@ -368,11 +382,11 @@ func (f *Fleet) Run(ctx context.Context, c eval.Cell) (result eval.Result, runEr
 	var key string // the store's cell key; hashing costs µs, so only with a store
 	if f.cfg.Store != nil {
 		key = cellKey(c)
-		if r, ok := loadResult(f.cfg.Store, key); ok {
+		if e, ok := loadResult(f.cfg.Store, key); ok {
 			f.events.Add(obs.Event{Kind: obs.EventCacheHit, Cell: cellName,
 				Trace: traceOf(obs.SpanFromContext(ctx))})
 			f.cells.Add(1)
-			return r, nil
+			return e.Result, nil
 		}
 	}
 	span := f.spans.StartSpan(obs.SpanFromContext(ctx), "cell")
@@ -410,7 +424,7 @@ func (f *Fleet) Run(ctx context.Context, c eval.Cell) (result eval.Result, runEr
 			hop.SetAttr("attempt", strconv.Itoa(attempt))
 		}
 		hopStart := time.Now()
-		r, cerr := f.post(ctx, w, body, hop)
+		e, cerr := f.post(ctx, w, body, hop)
 		hopTime := time.Since(hopStart)
 		if cerr == nil {
 			if hop != nil {
@@ -422,9 +436,9 @@ func (f *Fleet) Run(ctx context.Context, c eval.Cell) (result eval.Result, runEr
 			f.cells.Add(1)
 			f.cellSeconds.Observe(time.Since(start).Seconds())
 			if f.cfg.Store != nil {
-				saveResult(f.cfg.Store, key, r)
+				_ = f.cfg.Store.Put(key, e.encoded) // dropped on failure, like a miss
 			}
-			return r, nil
+			return e.Result, nil
 		}
 		if hop != nil {
 			hop.SetError(cerr)

@@ -96,7 +96,7 @@ func (l *Local) Run(ctx context.Context, c eval.Cell) (eval.Result, error) {
 	cellName := c.Workload + "/" + c.Config.Name()
 	trace := traceOf(obs.SpanFromContext(ctx))
 	start := time.Now()
-	label, key, task := CellTask(c, l.store, l.probe, nil)
+	label, key, task := l.CellTask(c, nil)
 	j, err := l.sched.Submit(ctx, label, key, task)
 	if err != nil {
 		l.failed.Add(1)
@@ -111,7 +111,7 @@ func (l *Local) Run(ctx context.Context, c eval.Cell) (eval.Result, error) {
 	}
 	switch st.State {
 	case sched.Done:
-		r, ok := st.Result.(eval.Result)
+		e, ok := st.Result.(EncodedResult)
 		if !ok {
 			l.failed.Add(1)
 			return eval.Result{}, fmt.Errorf("exec: unexpected cell payload %T", st.Result)
@@ -129,7 +129,7 @@ func (l *Local) Run(ctx context.Context, c eval.Cell) (eval.Result, error) {
 				Detail: fmt.Sprintf("exceeded %s threshold", l.slowCell)})
 		}
 		l.cells.Add(1)
-		return r, nil
+		return e.Result, nil
 	case sched.Canceled:
 		l.failed.Add(1)
 		return eval.Result{}, context.Canceled

@@ -89,3 +89,51 @@ func TestWarmRestartE2E(t *testing.T) {
 		t.Fatalf("warm-restart table differs:\ncold:\n%s\nwarm:\n%s", tab1, tab2)
 	}
 }
+
+// TestColdCellStoresPayloadBytes pins one encoding per cell Result: a
+// cold cell's store Put receives exactly the bytes its payload's
+// MarshalJSON returns, and the scheduler cache sizes the entry by them.
+func TestColdCellStoresPayloadBytes(t *testing.T) {
+	ctx := context.Background()
+	d, err := store.Open(store.DiskConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	l := NewLocal(LocalConfig{Workers: 1, Store: d})
+	defer l.Close()
+	c := testCell()
+	label, key, task := l.CellTask(c, nil)
+	j, err := l.Scheduler().Submit(ctx, label, key, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := j.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := st.Result.(EncodedResult)
+	if !ok {
+		t.Fatalf("cell payload is %T, want EncodedResult", st.Result)
+	}
+	if want, err := eval.RunCell(ctx, c, nil); err != nil || e.Result != want {
+		t.Fatalf("payload Result %+v, want eval.RunCell's %+v (err %v)", e.Result, want, err)
+	}
+	payload, err := e.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, ok, err := d.Get(key)
+	if err != nil || !ok {
+		t.Fatalf("store Get: ok=%v err=%v", ok, err)
+	}
+	if !bytes.Equal(stored, payload) {
+		t.Fatalf("stored bytes are not the payload's:\nstored  %s\npayload %s", stored, payload)
+	}
+	if ts := d.Stats()[0]; ts.Puts != 1 {
+		t.Fatalf("store puts = %d, want 1", ts.Puts)
+	}
+	if cs := l.Scheduler().Stats().Cache; cs.Bytes != int64(len(key)+len(payload)) {
+		t.Fatalf("cache sized the entry at %d bytes, want key+payload = %d", cs.Bytes, len(key)+len(payload))
+	}
+}

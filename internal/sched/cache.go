@@ -47,15 +47,21 @@ type cacheEntry struct {
 // approxSize estimates one entry's footprint as the key length plus the
 // length of the value's JSON encoding — approximate (it ignores Go object
 // overhead) but cheap relative to producing the value, stable, and good
-// enough to size a cache on /debug/stats.
+// enough to size a cache on /debug/stats. A json.Marshaler (a finished
+// cell's payload holds its encoding) is sized by the bytes it returns,
+// without encoding it again.
 func approxSize(key string, value any) int64 {
-	n := int64(len(key))
-	if b, err := json.Marshal(value); err == nil {
-		n += int64(len(b))
+	var b []byte
+	var err error
+	if m, ok := value.(json.Marshaler); ok {
+		b, err = m.MarshalJSON()
 	} else {
-		n += int64(len(fmt.Sprintf("%v", value)))
+		b, err = json.Marshal(value)
 	}
-	return n
+	if err != nil {
+		b = []byte(fmt.Sprintf("%v", value))
+	}
+	return int64(len(key) + len(b))
 }
 
 // newCache returns an LRU cache holding at most max results (max <= 0

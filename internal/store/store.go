@@ -11,11 +11,11 @@
 // tolerated and logged, segments rotate atomically at a size threshold,
 // and compaction drops superseded and over-quota entries.
 //
-// The store sits behind the scheduler's LRU (decoded values, in-flight
-// coalescing), which stays the hot memory front: internal/exec consults
-// the store only when that cache misses, a store hit skips the simulation
-// entirely, and the decoded result is promoted back into the scheduler
-// cache.
+// The store sits behind the scheduler's LRU (finished cells' payloads,
+// in-flight coalescing), which stays the hot memory front: internal/exec
+// consults the store only when that cache misses, a store hit skips the
+// simulation entirely, and the decoded result, with the bytes it was read
+// from, is promoted back into the scheduler cache.
 //
 // Layering: this package may import internal/obs and nothing else
 // module-internal (enforced by elflint's layering check); values are

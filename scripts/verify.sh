@@ -80,6 +80,15 @@ go test -race -count=1 -run 'TestNilSinksAreNoOps|TestCounterValues|TestStatsMat
 # completion and drains them on shutdown.
 go test -race -count=50 -run TestCountedBeforeWaitReturns ./internal/sched/
 go test -race -count=1 -run 'TestNestedWaitOnOneWorker|TestNestedWaitKeepsWorkerBound|TestNestedBacklogStartsWorkersAtATime|TestNestedWaitPromotesQueuedJob|TestShutdownDrainsNestedJobs|TestExperimentCellsShareThePool|TestExperimentCellsOutgrowTheQueue|TestExperimentBurstStartsWorkersAtATime|TestShutdownDrainsExperimentJobs|TestPostedCellServesLaterExperiment|TestWorkersBoundEverySimulation' ./internal/sched/ ./cmd/elfd/
+# One encoding per cell Result, race-checked: POST /v1/cells answers with
+# the bytes the store holds under the cell key (fresh, cache repeat, store
+# hit, a non-canonical plant byte for byte), a coordinator stores the bytes
+# its worker sent, a cold cell's store Put gets its payload's bytes, the
+# one cell path still agrees on key and value, the Fleet quarantines a
+# worker whose 200 reply is garbage or runs past its read bound and
+# requeues the cell (TestFleetQuarantinesAndRequeues), and elfd answers
+# request bodies over its bound with 400 bad_request (TestErrorEnvelope).
+go test -race -count=1 -run 'TestOneCellPath|TestCellReplyIsTheStoredBytes|TestCoordinatorKeepsWorkerBytes|TestErrorEnvelope|TestColdCellStoresPayloadBytes|TestFleetQuarantinesAndRequeues' ./cmd/elfd/ ./internal/exec/
 # CLI smoke: elfbench has no tests, so this is the gate on its -exp wiring.
 go run ./cmd/elfbench -exp all -warmup 1000 -insts 4000 -format csv >/dev/null
 # In-process CLI smoke: elfsim, elfview and elfbench -hist have no tests,
