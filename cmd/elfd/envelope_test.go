@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"elfetch/internal/btb"
 	"elfetch/internal/eval"
 	"elfetch/internal/pipeline"
 	"elfetch/internal/sched"
@@ -28,6 +29,13 @@ func envelope(t *testing.T, decoded map[string]any) (code, message string) {
 		t.Fatalf("envelope missing code/message: %v", e)
 	}
 	return code, message
+}
+
+// btbCell is a valid leela cell whose BTB geometry edit applies.
+func btbCell(edit func(*btb.Config)) eval.Cell {
+	c := eval.Cell{Workload: "641.leela_s", Config: pipeline.DefaultConfig(), Warmup: 1000, Measure: 4000}
+	edit(&c.Config.BTB)
+	return c
 }
 
 // TestErrorEnvelope drives every handler failure path and asserts the
@@ -71,6 +79,14 @@ func TestErrorEnvelope(t *testing.T) {
 		{"cell unknown workload", "POST", "/v1/cells",
 			eval.Cell{Workload: "nope", Config: pipeline.DefaultConfig(), Measure: 1000},
 			http.StatusNotFound, "not_found"},
+		// BTB geometry a set mask cannot index is refused by
+		// Config.Validate, not simulated (or panicked on) by a worker.
+		{"cell BTB L1 ways zero", "POST", "/v1/cells",
+			btbCell(func(c *btb.Config) { c.L1Ways = 0 }), http.StatusBadRequest, "bad_request"},
+		{"cell BTB L2 entries zero", "POST", "/v1/cells",
+			btbCell(func(c *btb.Config) { c.L2Entries = 0 }), http.StatusBadRequest, "bad_request"},
+		{"cell BTB 48 L1 sets", "POST", "/v1/cells",
+			btbCell(func(c *btb.Config) { c.L1Entries = 192 }), http.StatusBadRequest, "bad_request"},
 		// Bodies past maxRequestBytes are refused before they are read
 		// in full, however well-formed.
 		{"cell over the body bound", "POST", "/v1/cells",

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -132,34 +133,67 @@ func submitExperiments(t *testing.T, h http.Handler, kind string, measures ...ui
 // eight-deep queue on a 16-thread host, five distinct experiment jobs
 // submitted together all end done, no more than two of them run at once,
 // and scheduler.running never exceeds two.
+//
+// The jobs' overlap is counted once all are done, from their own started
+// and finished times: the scheduler sets both under its lock, in the same
+// critical sections that move its count of running top-level jobs, so the
+// peak overlap of the half-open [started, finished) intervals is that
+// count's peak. Adding up the states of sequential GET /v1/jobs/{id} reads
+// instead could count a job that finished between two reads together with
+// one that started after it.
 func TestExperimentBurstStartsWorkersAtATime(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
 	srv := newTestServer(t, exec.LocalConfig{Workers: 2, QueueDepth: 8},
 		eval.Params{Warmup: 1_000, Measure: 4_000}, serverOptions{})
 	ids := submitExperiments(t, srv, "btb", 4_000, 4_001, 4_002, 4_003, 4_004)
 
-	peakJobs, peakRunning := 0, 0
+	peakRunning := 0
 	deadline := time.Now().Add(60 * time.Second)
 	for done := 0; done < len(ids); {
-		running := 0
 		done = 0
 		for _, id := range ids {
 			_, job := doJSON(t, srv, "GET", "/v1/jobs/"+id, nil)
 			switch s := sched.State(job["state"].(string)); {
-			case s == sched.Running:
-				running++
 			case s == sched.Done:
 				done++
 			case s.Terminal():
 				t.Fatalf("experiment job %s ended %s: %v", id, s, job)
 			}
 		}
-		peakJobs = max(peakJobs, running)
 		peakRunning = max(peakRunning, srv.sched.Stats().Running)
 		if time.Now().After(deadline) {
 			t.Fatalf("%d of %d experiment jobs done after 60s", done, len(ids))
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+	type event struct {
+		at    time.Time
+		delta int // +1 at a start, -1 at a finish
+	}
+	var events []event
+	for _, id := range ids {
+		j, ok := srv.sched.Get(id)
+		if !ok {
+			t.Fatalf("experiment job %s is gone", id)
+		}
+		st := j.Status()
+		if st.Started == nil || st.Finished == nil {
+			t.Fatalf("done experiment job %s lacks a start or finish time: %+v", id, st)
+		}
+		events = append(events, event{*st.Started, +1}, event{*st.Finished, -1})
+	}
+	// A finish sorts before a start at the same instant: the intervals
+	// are half-open.
+	slices.SortFunc(events, func(a, b event) int {
+		if c := a.at.Compare(b.at); c != 0 {
+			return c
+		}
+		return a.delta - b.delta
+	})
+	peakJobs, overlap := 0, 0
+	for _, e := range events {
+		overlap += e.delta
+		peakJobs = max(peakJobs, overlap)
 	}
 	if peakJobs > 2 || peakRunning > 2 {
 		t.Fatalf("%d experiment jobs and %d simulations ran at once on two workers, want at most 2 each",

@@ -49,9 +49,13 @@ const (
 )
 
 type robEntry struct {
-	u       uop.Uop
-	id      uint64 // absolute age
-	state   uint8
+	u     uop.Uop
+	id    uint64 // absolute age
+	state uint8
+	// class and dest copy u.SI.Class and u.SI.Dest, so the window scans
+	// read them from the entry instead of dereferencing u.SI.
+	class   isa.Class
+	dest    isa.Reg
 	pending int8 // outstanding source operands
 	doneAt  uint64
 	// mdpWait, if >= 0, is the absolute id of a store this load must
@@ -87,12 +91,20 @@ type Backend struct {
 
 	// rob is backed by cfg.ROB rounded up to a power of two, so an id's
 	// slot is id&mask; ROBFull still caps occupancy at cfg.ROB.
-	rob      []robEntry
-	mask     uint64
-	robHead  uint64 // oldest absolute id
-	robTail  uint64 // next absolute id
-	iqCount  int
-	lsqCount int
+	rob     []robEntry
+	mask    uint64
+	robHead uint64 // oldest absolute id
+	robTail uint64 // next absolute id
+	// stores holds the ids of the in-flight stores, oldest first: a ring
+	// of the same size as rob, where the k-th store pushed sits at
+	// k&mask. Accept pushes at storeTail, Commit pops at storeHead and
+	// SquashFrom pops squashed ids at storeTail, so the ring is always
+	// exactly the stores in [robHead, robTail). Forwarding and the
+	// dependence filter scan it instead of the whole window.
+	stores               []uint64
+	storeHead, storeTail uint64
+	iqCount              int
+	lsqCount             int
 
 	// rat maps architectural registers to producing entry ids (-1 none).
 	rat [isa.NumArchRegs]int64
@@ -148,6 +160,7 @@ func New(cfg Config, hier *cache.Hierarchy) *Backend {
 		hier:        hier,
 		rob:         make([]robEntry, size),
 		mask:        uint64(size - 1),
+		stores:      make([]uint64, size),
 		depHead:     make([]int32, size),
 		depNext:     make([]int32, size*2),
 		// Steady-state allocation discipline (DESIGN.md §17): every
@@ -190,7 +203,8 @@ func (b *Backend) Accept(u *uop.Uop) bool {
 	if b.ROBFull() || b.iqCount >= b.cfg.IQ {
 		return false
 	}
-	if u.SI.Class.IsMemory() && b.lsqCount >= b.cfg.LSQ {
+	class := u.SI.Class
+	if class.IsMemory() && b.lsqCount >= b.cfg.LSQ {
 		return false
 	}
 	id := b.robTail
@@ -199,6 +213,8 @@ func (b *Backend) Accept(u *uop.Uop) bool {
 	e.u = *u
 	e.id = id
 	e.state = stWaiting
+	e.class = class
+	e.dest = u.SI.Dest
 	e.pending = 0
 	e.doneAt = 0
 	e.mdpWait = -1
@@ -231,26 +247,26 @@ func (b *Backend) Accept(u *uop.Uop) bool {
 
 	// Memory-dependence filter: a load predicted to conflict waits for
 	// the youngest older in-flight store with the recorded store PC.
-	if u.SI.Class == isa.Load && !u.WrongPath {
+	if class == isa.Load && !u.WrongPath {
 		if storePC, ok := b.mdp.Lookup(u.PC); ok {
-			for id2 := b.robTail; id2 > b.robHead; id2-- {
-				se := b.slot(id2 - 1)
-				if se.u.SI.Class == isa.Store && se.u.PC == storePC && !se.addrDone {
-					e.mdpWait = int64(se.id)
-					b.mdpWaiters = append(b.mdpWaiters, slotIdx)
-					break
-				}
+			if sid, ok := b.pendingStore(storePC); ok {
+				e.mdpWait = int64(sid)
+				b.mdpWaiters = append(b.mdpWaiters, slotIdx)
 			}
 		}
 	}
 
-	if u.SI.Dest != isa.RegZero {
-		b.rat[u.SI.Dest] = int64(id)
+	if e.dest != isa.RegZero {
+		b.rat[e.dest] = int64(id)
 	}
 	b.robTail++
 	b.iqCount++
-	if u.SI.Class.IsMemory() {
+	if class.IsMemory() {
 		b.lsqCount++
+	}
+	if class == isa.Store {
+		b.stores[b.storeTail&b.mask] = id
+		b.storeTail++
 	}
 	if e.pending == 0 && e.mdpWait < 0 {
 		e.state = stReady
@@ -259,12 +275,25 @@ func (b *Backend) Accept(u *uop.Uop) bool {
 	return true
 }
 
+// pendingStore returns the id of the youngest in-flight store at pc whose
+// address has not resolved yet.
+func (b *Backend) pendingStore(pc isa.Addr) (uint64, bool) {
+	for k := b.storeTail; k > b.storeHead; {
+		k--
+		id := b.stores[k&b.mask]
+		if se := b.slot(id); se.u.PC == pc && !se.addrDone {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
 // latencyFor returns the execution latency of an issuing entry, performing
 // the data cache access for memory operations (side effects included —
 // wrong-path pollution is the point).
 func (b *Backend) latencyFor(e *robEntry) int {
 	u := &e.u
-	switch u.SI.Class {
+	switch e.class {
 	case isa.MulDiv:
 		return b.cfg.MulDivLat
 	case isa.SIMD:
@@ -284,7 +313,7 @@ func (b *Backend) latencyFor(e *robEntry) int {
 	case isa.Store:
 		return b.cfg.AGULat // address generation; data drains at commit
 	default:
-		if u.SI.Class.IsBranch() {
+		if e.class.IsBranch() {
 			return b.cfg.BranchLat
 		}
 		return b.cfg.ALULat
@@ -296,11 +325,14 @@ func (b *Backend) latencyFor(e *robEntry) int {
 // slot — the store-buffer forwarding case. Younger stores never forward.
 func (b *Backend) forwardableStore(loadID uint64, u *uop.Uop) bool {
 	line := u.MemAddr &^ 7
-	for id := loadID; id > b.robHead; {
-		id--
+	for k := b.storeTail; k > b.storeHead; {
+		k--
+		id := b.stores[k&b.mask]
+		if id >= loadID {
+			continue
+		}
 		e := b.slot(id)
-		if e.u.SI.Class == isa.Store && e.addrDone && e.u.MemAddr&^7 == line &&
-			e.u.WrongPath == u.WrongPath {
+		if e.addrDone && e.u.MemAddr&^7 == line && e.u.WrongPath == u.WrongPath {
 			return true
 		}
 	}
@@ -348,13 +380,13 @@ func (b *Backend) complete(now uint64) {
 		b.depHead[slotIdx] = -1
 
 		switch {
-		case e.u.SI.Class == isa.Store:
+		case e.class == isa.Store:
 			e.addrDone = true
 			if !e.u.WrongPath {
 				b.checkStoreOrderViolation(e)
 			}
 			b.wakeMDPWaiters(e.id)
-		case e.u.IsBranch() && !e.u.WrongPath && e.u.Mispredicted():
+		case e.class.IsBranch() && !e.u.WrongPath && e.u.Mispredicted():
 			b.raiseBranchResolution(e)
 		}
 	}
@@ -376,7 +408,7 @@ func (b *Backend) wakeMDPWaiters(storeID uint64) {
 	kept := b.mdpWaiters[:0]
 	for _, s := range b.mdpWaiters {
 		e := &b.rob[s]
-		if e.id == ^uint64(0) || e.id < b.robHead || e.u.SI.Class != isa.Load || e.mdpWait < 0 {
+		if e.id == ^uint64(0) || e.id < b.robHead || e.class != isa.Load || e.mdpWait < 0 {
 			continue // squashed or stale
 		}
 		if e.mdpWait == int64(storeID) {
@@ -400,7 +432,7 @@ func (b *Backend) checkStoreOrderViolation(store *robEntry) {
 	line := store.u.MemAddr &^ 7
 	for id := store.id + 1; id < b.robTail; id++ {
 		e := b.slot(id)
-		if e.u.WrongPath || e.u.SI.Class != isa.Load {
+		if e.u.WrongPath || e.class != isa.Load {
 			continue
 		}
 		if e.state != stIssued && e.state != stDone {
@@ -424,7 +456,7 @@ func (b *Backend) checkStoreOrderViolation(store *robEntry) {
 
 func (b *Backend) raiseBranchResolution(e *robEntry) {
 	kind := uop.FlushBranch
-	if e.u.SI.Class.IsIndirect() || (e.u.PredTaken && e.u.ActTaken && e.u.PredTarget != e.u.ActTarget) {
+	if e.class.IsIndirect() || (e.u.PredTaken && e.u.ActTaken && e.u.PredTarget != e.u.ActTarget) {
 		kind = uop.FlushTarget
 	}
 	b.pendingResolutions.PushBack(Resolution{
@@ -457,7 +489,7 @@ func (b *Backend) issue(now uint64) {
 		}
 		e := &b.rob[s]
 		fits := false
-		switch e.u.SI.Class {
+		switch e.class {
 		case isa.MulDiv:
 			if muldiv > 0 && alu > 0 {
 				muldiv--
@@ -533,8 +565,11 @@ func (b *Backend) Commit(now uint64) {
 		if e.state != stDone {
 			return
 		}
-		if e.u.SI.Class.IsMemory() {
+		if e.class.IsMemory() {
 			b.lsqCount--
+			if e.class == isa.Store {
+				b.storeHead++
+			}
 		}
 		if !e.u.WrongPath {
 			b.retired = append(b.retired, &e.u)
@@ -546,8 +581,7 @@ func (b *Backend) Commit(now uint64) {
 }
 
 func (b *Backend) clearRATIfOwner(e *robEntry) {
-	d := e.u.SI.Dest
-	if d != isa.RegZero && b.rat[d] == int64(e.id) {
+	if d := e.dest; d != isa.RegZero && b.rat[d] == int64(e.id) {
 		b.rat[d] = -1
 	}
 }
@@ -596,13 +630,16 @@ func (b *Backend) SquashFrom(boundary uint64) {
 				b.iqCount--
 			}
 		}
-		if e.u.SI.Class.IsMemory() {
+		if e.class.IsMemory() {
 			b.lsqCount--
 		}
 		b.clearRATIfOwner(e)
 		e.id = ^uint64(0) // invalidate
 	}
 	b.robTail = boundary
+	for b.storeTail > b.storeHead && b.stores[(b.storeTail-1)&b.mask] >= boundary {
+		b.storeTail--
+	}
 	// Drop squashed entries from the ready list and dependence edges.
 	kept := b.ready[:0]
 	for _, s := range b.ready {
@@ -644,7 +681,7 @@ func (b *Backend) SquashFrom(boundary uint64) {
 	}
 	for id := b.robHead; id < b.robTail; id++ {
 		e := b.slot(id)
-		if d := e.u.SI.Dest; d != isa.RegZero {
+		if d := e.dest; d != isa.RegZero {
 			b.rat[d] = int64(id)
 		}
 		if e.state != stWaiting {

@@ -37,20 +37,17 @@ func (h *History) UpdateIndirect(target uint64) {
 	h.Path = h.Path<<2 ^ uint16(target>>2)&0xfff
 }
 
-// fold compresses the low n bits of the history into width bits.
+// fold compresses the low n bits of the history into width bits: the XOR
+// of its width-bit chunks. It stops as soon as no history bits are left,
+// since a zero chunk changes nothing.
 func fold(v uint64, n, width uint) uint64 {
 	if n < 64 {
 		v &= (uint64(1) << n) - 1
 	}
+	mask := uint64(1)<<width - 1
 	out := uint64(0)
-	for n > 0 {
-		out ^= v & ((uint64(1) << width) - 1)
-		v >>= width
-		if n >= width {
-			n -= width
-		} else {
-			n = 0
-		}
+	for ; v != 0; v >>= width {
+		out ^= v & mask
 	}
 	return out
 }

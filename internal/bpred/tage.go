@@ -14,7 +14,7 @@ import "elfetch/internal/isa"
 type TAGE struct {
 	bimodal []int8 // 2-bit counters, -2..1 (taken when >= 0)
 
-	tables [NumTAGETables]tageTable
+	tables [NumTAGETables][]tageEntry // 1<<tageIdxBits entries each
 
 	// useAltCtr implements USE_ALT_ON_NA: when newly allocated entries
 	// are unreliable, prefer the alternate prediction.
@@ -34,13 +34,6 @@ type tageEntry struct {
 	tag    uint16
 	ctr    int8  // 3-bit signed counter, -4..3 (taken when >= 0)
 	useful uint8 // 2-bit usefulness
-}
-
-type tageTable struct {
-	entries []tageEntry
-	histLen uint
-	idxBits uint
-	tagBits uint
 }
 
 // TAGEPred carries everything Update needs to apply the outcome without
@@ -70,19 +63,14 @@ func (p *TAGEPred) Disagree() bool { return p.Taken != p.BimodalTaken }
 const (
 	tageBimodalBits = 13 // 8K-entry bimodal
 	tageIdxBits     = 10 // 1K entries per tagged table
-	tageTagBits     = 11
+	tageTagBits     = tageIdxBits + 1
 )
 
 // NewTAGE returns a predictor with the Table II geometry.
 func NewTAGE() *TAGE {
 	t := &TAGE{bimodal: make([]int8, 1<<tageBimodalBits)}
 	for i := range t.tables {
-		t.tables[i] = tageTable{
-			entries: make([]tageEntry, 1<<tageIdxBits),
-			histLen: tageHistLens[i],
-			idxBits: tageIdxBits,
-			tagBits: tageTagBits,
-		}
+		t.tables[i] = make([]tageEntry, 1<<tageIdxBits)
 	}
 	return t
 }
@@ -91,23 +79,23 @@ func NewTAGE() *TAGE {
 func (t *TAGE) StorageBits() int {
 	bits := len(t.bimodal) * 2
 	for i := range t.tables {
-		bits += len(t.tables[i].entries) * (tageTagBits + 3 + 2)
+		bits += len(t.tables[i]) * (tageTagBits + 3 + 2)
 	}
 	return bits
 }
 
-func (tb *tageTable) index(pc uint64, h History) uint32 {
-	hf := fold(h.GHR, tb.histLen, tb.idxBits)
-	pf := uint64(h.Path) & ((1 << minUint(tb.histLen, 16)) - 1)
-	v := pc>>2 ^ pc>>(2+tb.idxBits) ^ hf ^ pf<<1
-	return uint32(v & ((1 << tb.idxBits) - 1))
-}
-
-func (tb *tageTable) tagOf(pc uint64, h History) uint16 {
-	hf := fold(h.GHR, tb.histLen, tb.tagBits)
-	hf2 := fold(h.GHR, tb.histLen, tb.tagBits-1)
-	v := pc>>2 ^ hf ^ hf2<<1
-	return uint16(v & ((1 << tb.tagBits) - 1))
+// tageIndexTag returns table i's index and tag for the branch at pc under
+// history h. The index fold and the tag's second fold are both the
+// tageIdxBits-wide fold (tageTagBits-1 == tageIdxBits), so each table
+// folds its history twice, not three times.
+func tageIndexTag(i int, pc uint64, h History) (uint32, uint16) {
+	n := tageHistLens[i]
+	fIdx := fold(h.GHR, n, tageIdxBits)
+	fTag := fold(h.GHR, n, tageTagBits)
+	pf := uint64(h.Path) & (1<<minUint(n, 16) - 1)
+	idx := (pc>>2 ^ pc>>(2+tageIdxBits) ^ fIdx ^ pf<<1) & (1<<tageIdxBits - 1)
+	tag := (pc>>2 ^ fTag ^ fIdx<<1) & (1<<tageTagBits - 1)
+	return uint32(idx), uint16(tag)
 }
 
 func (t *TAGE) bimodalIndex(pc isa.Addr) uint32 {
@@ -125,12 +113,10 @@ func (t *TAGE) Predict(pc isa.Addr, h History) TAGEPred {
 	p.altTaken = p.BimodalTaken
 
 	for i := 0; i < NumTAGETables; i++ {
-		tb := &t.tables[i]
-		p.idx[i] = tb.index(uint64(pc), h)
-		p.tag[i] = tb.tagOf(uint64(pc), h)
+		p.idx[i], p.tag[i] = tageIndexTag(i, uint64(pc), h)
 	}
 	for i := NumTAGETables - 1; i >= 0; i-- {
-		e := &t.tables[i].entries[p.idx[i]]
+		e := &t.tables[i][p.idx[i]]
 		if e.tag != p.tag[i] {
 			continue
 		}
@@ -166,7 +152,7 @@ func (t *TAGE) Update(pc isa.Addr, pred TAGEPred, taken bool) {
 	}
 
 	if pred.provider >= 0 {
-		e := &t.tables[pred.provider].entries[pred.idx[pred.provider]]
+		e := &t.tables[pred.provider][pred.idx[pred.provider]]
 		if taken {
 			e.ctr = satInc8(e.ctr, 3)
 		} else {
@@ -205,7 +191,7 @@ func (t *TAGE) allocate(pred TAGEPred, taken bool) {
 	skip := int(t.allocSeed>>62) & 1 // probabilistic start offset
 	allocated := false
 	for i := start + skip; i < NumTAGETables; i++ {
-		e := &t.tables[i].entries[pred.idx[i]]
+		e := &t.tables[i][pred.idx[i]]
 		if e.useful == 0 {
 			e.tag = pred.tag[i]
 			e.useful = 0
@@ -221,7 +207,7 @@ func (t *TAGE) allocate(pred TAGEPred, taken bool) {
 	if !allocated {
 		// Decay usefulness so future allocations succeed.
 		for i := start; i < NumTAGETables; i++ {
-			e := &t.tables[i].entries[pred.idx[i]]
+			e := &t.tables[i][pred.idx[i]]
 			if e.useful > 0 {
 				e.useful--
 			}

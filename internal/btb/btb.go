@@ -17,6 +17,8 @@
 package btb
 
 import (
+	"fmt"
+
 	"elfetch/internal/isa"
 )
 
@@ -93,84 +95,94 @@ func (l Level) String() string {
 	}
 }
 
-// bank is one set-associative level.
+// bank is one set-associative level. A lookup scans the set's slice of
+// starts, a dense copy of each way's Entry.Start, so it reads 8 bytes per
+// way instead of a whole Entry. Replacement is LRU by last-touch stamp: a
+// way's stamp is the bank clock at its last touch, and 0 means the way was
+// never filled. A victim is the way with the oldest stamp, the last one on
+// ties; that picks the last empty way while one is left, and otherwise the
+// least recently used way, as a per-set age permutation would (DESIGN.md
+// §17, "Per-access cost of the modeled tables").
 type bank struct {
-	sets    int
+	setMask uint64
 	ways    int
-	entries []Entry // sets × ways
-	valid   []bool
-	lru     []uint8 // per-way age within a set; 0 = MRU
+	starts  []isa.Addr // sets × ways
+	entries []Entry    // sets × ways
+	stamp   []uint64   // sets × ways; 0 = empty
+	clock   uint64
 }
 
-func newBank(sets, ways int) *bank {
-	b := &bank{sets: sets, ways: ways,
-		entries: make([]Entry, sets*ways),
-		valid:   make([]bool, sets*ways),
-		lru:     make([]uint8, sets*ways),
+// setCount returns the number of sets of a level of the given entries and
+// ways, or 0 when a mask cannot index it: entries and ways must be
+// positive, entries divisible by ways, and the set count a power of two.
+func setCount(entries, ways int) int {
+	if entries <= 0 || ways <= 0 || entries%ways != 0 {
+		return 0
 	}
-	for i := range b.lru {
-		b.lru[i] = uint8(i % ways)
+	sets := entries / ways
+	if sets&(sets-1) != 0 {
+		return 0
 	}
-	return b
+	return sets
 }
 
-func (b *bank) setOf(pc isa.Addr) int {
-	return int(uint64(pc) >> 2 % uint64(b.sets))
+// newBank builds a level of the given entries and ways.
+func newBank(entries, ways int) *bank {
+	sets := setCount(entries, ways)
+	if sets == 0 {
+		//lint:allow panic Config.Validate (via pipeline.Config.Validate) rejects this geometry before a machine is built; reaching here is a modeling bug
+		panic(fmt.Sprintf("btb: %d entries in %d ways is not a power-of-two set count", entries, ways))
+	}
+	return &bank{setMask: uint64(sets - 1), ways: ways,
+		starts:  make([]isa.Addr, entries),
+		entries: make([]Entry, entries),
+		stamp:   make([]uint64, entries),
+	}
+}
+
+// find returns the index of the filled way holding the entry that starts
+// at pc, or -1.
+func (b *bank) find(pc isa.Addr) int {
+	base := int(uint64(pc)>>2&b.setMask) * b.ways
+	for w, s := range b.starts[base : base+b.ways] {
+		if s == pc && b.stamp[base+w] != 0 {
+			return base + w
+		}
+	}
+	return -1
+}
+
+// touch marks way i most-recently used.
+func (b *bank) touch(i int) {
+	b.clock++
+	b.stamp[i] = b.clock
 }
 
 // lookup returns the entry starting exactly at pc.
 func (b *bank) lookup(pc isa.Addr) (*Entry, bool) {
-	s := b.setOf(pc)
-	base := s * b.ways
-	for w := 0; w < b.ways; w++ {
-		i := base + w
-		if b.valid[i] && b.entries[i].Start == pc {
-			b.touch(s, w)
-			return &b.entries[i], true
-		}
+	i := b.find(pc)
+	if i < 0 {
+		return nil, false
 	}
-	return nil, false
-}
-
-// touch marks way w of set s most-recently used.
-func (b *bank) touch(s, w int) {
-	base := s * b.ways
-	old := b.lru[base+w]
-	for i := 0; i < b.ways; i++ {
-		if b.lru[base+i] < old {
-			b.lru[base+i]++
-		}
-	}
-	b.lru[base+w] = 0
+	b.touch(i)
+	return &b.entries[i], true
 }
 
 // insert installs (or replaces) the entry for e.Start.
 func (b *bank) insert(e Entry) {
-	s := b.setOf(e.Start)
-	base := s * b.ways
-	victim := 0
-	var worst uint8
-	for w := 0; w < b.ways; w++ {
-		i := base + w
-		if b.valid[i] && b.entries[i].Start == e.Start {
-			b.entries[i] = e
-			b.touch(s, w)
-			return
+	i := b.find(e.Start)
+	if i < 0 {
+		base := int(uint64(e.Start)>>2&b.setMask) * b.ways
+		i = base
+		for w := base + 1; w < base+b.ways; w++ {
+			if b.stamp[w] <= b.stamp[i] {
+				i = w
+			}
 		}
-		if !b.valid[i] {
-			victim = w
-			worst = 255
-			continue
-		}
-		if b.lru[i] >= worst {
-			worst = b.lru[i]
-			victim = w
-		}
+		b.starts[i] = e.Start
 	}
-	i := base + victim
 	b.entries[i] = e
-	b.valid[i] = true
-	b.touch(s, victim)
+	b.touch(i)
 }
 
 // Stats counts per-level lookup outcomes.
@@ -208,15 +220,31 @@ func DefaultConfig() Config {
 	return Config{L0Entries: 24, L1Entries: 256, L1Ways: 4, L2Entries: 4096, L2Ways: 8}
 }
 
+// Validate rejects a geometry New cannot build. L0Entries is 0 (no L0) or
+// positive; L1 and L2 need positive entries and ways, entries divisible by
+// ways, and a power-of-two set count, so that a mask finds the set.
+func (c Config) Validate() error {
+	if c.L0Entries < 0 {
+		return fmt.Errorf("btb: L0Entries %d is negative (0 disables the L0)", c.L0Entries)
+	}
+	if setCount(c.L1Entries, c.L1Ways) == 0 {
+		return fmt.Errorf("btb: L1 of %d entries in %d ways: want positive entries and ways and a power-of-two set count", c.L1Entries, c.L1Ways)
+	}
+	if setCount(c.L2Entries, c.L2Ways) == 0 {
+		return fmt.Errorf("btb: L2 of %d entries in %d ways: want positive entries and ways and a power-of-two set count", c.L2Entries, c.L2Ways)
+	}
+	return nil
+}
+
 // New builds the hierarchy. A zero L0Entries disables that level (for the
-// L0-ablation bench).
+// L0-ablation bench). New panics on a geometry Validate rejects.
 func New(cfg Config) *BTB {
 	b := &BTB{}
-	if cfg.L0Entries > 0 {
-		b.l0 = newBank(1, cfg.L0Entries)
+	if cfg.L0Entries != 0 {
+		b.l0 = newBank(cfg.L0Entries, cfg.L0Entries)
 	}
-	b.l1 = newBank(cfg.L1Entries/cfg.L1Ways, cfg.L1Ways)
-	b.l2 = newBank(cfg.L2Entries/cfg.L2Ways, cfg.L2Ways)
+	b.l1 = newBank(cfg.L1Entries, cfg.L1Ways)
+	b.l2 = newBank(cfg.L2Entries, cfg.L2Ways)
 	return b
 }
 
@@ -278,8 +306,9 @@ func (b *BTB) Install(e Entry) {
 	b.l2.insert(e)
 	b.l1.insert(e)
 	if b.l0 != nil {
-		if _, ok := b.l0.lookup(e.Start); ok {
-			b.l0.insert(e)
+		if i := b.l0.find(e.Start); i >= 0 {
+			b.l0.entries[i] = e
+			b.l0.touch(i)
 		}
 	}
 }

@@ -12,13 +12,18 @@ package cache
 
 import "elfetch/internal/isa"
 
-// Cache is one tag-only set-associative cache with LRU replacement.
+// Cache is one tag-only set-associative cache with LRU replacement. The
+// set count is a power of two, so a mask finds the set and a shift the tag.
+// Replacement keeps a one-byte age per way (a per-set permutation, 0 =
+// MRU): an 8-byte last-touch stamp, as the BTB uses, would cost about 1 MB
+// more per machine, most of it in the 16 MB L3 (DESIGN.md §17).
 type Cache struct {
 	name      string
-	sets      int
 	ways      int
 	lineBytes int
-	shift     uint
+	shift     uint   // log2 of the line size
+	setMask   uint64 // sets-1
+	setBits   uint   // log2 of the set count
 	tags      []uint64
 	valid     []bool
 	age       []uint8 // 0 = MRU
@@ -29,11 +34,11 @@ type Cache struct {
 }
 
 // NewCache builds a cache of the given total size. sizeBytes/lineBytes must
-// be divisible by ways.
+// be divisible by ways, and the set count must be a power of two.
 func NewCache(name string, sizeBytes, ways, lineBytes int) *Cache {
 	lines := sizeBytes / lineBytes
 	sets := lines / ways
-	if sets == 0 || lines%ways != 0 {
+	if sets == 0 || lines%ways != 0 || sets&(sets-1) != 0 {
 		//lint:allow panic geometry comes from compile-time config tables; an inconsistent one is a modeling bug
 		panic("cache: inconsistent geometry for " + name)
 	}
@@ -41,8 +46,13 @@ func NewCache(name string, sizeBytes, ways, lineBytes int) *Cache {
 	for 1<<shift < lineBytes {
 		shift++
 	}
+	setBits := uint(0)
+	for 1<<setBits < sets {
+		setBits++
+	}
 	c := &Cache{
-		name: name, sets: sets, ways: ways, lineBytes: lineBytes, shift: shift,
+		name: name, ways: ways, lineBytes: lineBytes, shift: shift,
+		setMask: uint64(sets - 1), setBits: setBits,
 		tags:  make([]uint64, lines),
 		valid: make([]bool, lines),
 		age:   make([]uint8, lines),
@@ -59,21 +69,27 @@ func (c *Cache) Name() string { return c.name }
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() int { return c.lineBytes }
 
-func (c *Cache) setAndTag(addr isa.Addr) (int, uint64) {
+// find returns the first way of addr's set, the index of the valid way
+// holding addr's line (-1 if none) and the line's tag.
+func (c *Cache) find(addr isa.Addr) (base, hit int, tag uint64) {
 	line := uint64(addr) >> c.shift
-	return int(line % uint64(c.sets)), line / uint64(c.sets)
+	base = int(line&c.setMask) * c.ways
+	tag = line >> c.setBits
+	for i := base; i < base+c.ways; i++ {
+		if c.tags[i] == tag && c.valid[i] {
+			return base, i, tag
+		}
+	}
+	return base, -1, tag
 }
 
 // Access looks up addr, updating LRU and statistics. It does not fill.
 func (c *Cache) Access(addr isa.Addr) bool {
 	c.Accesses++
-	s, tag := c.setAndTag(addr)
-	base := s * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			c.touch(s, w)
-			return true
-		}
+	base, i, _ := c.find(addr)
+	if i >= 0 {
+		c.touch(base, i)
+		return true
 	}
 	c.Misses++
 	return false
@@ -81,50 +97,39 @@ func (c *Cache) Access(addr isa.Addr) bool {
 
 // Probe looks up addr without LRU or statistics side effects.
 func (c *Cache) Probe(addr isa.Addr) bool {
-	s, tag := c.setAndTag(addr)
-	base := s * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			return true
-		}
-	}
-	return false
+	_, i, _ := c.find(addr)
+	return i >= 0
 }
 
-// Fill installs the line containing addr (LRU victim), marking it MRU.
+// Fill installs the line containing addr (LRU victim), marking it MRU. The
+// victim is the last invalid way of the set, or else its oldest way.
 func (c *Cache) Fill(addr isa.Addr) {
-	s, tag := c.setAndTag(addr)
-	base := s * c.ways
-	victim, worst := 0, uint8(0)
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.touch(s, w)
-			return
+	base, i, tag := c.find(addr)
+	if i < 0 {
+		i = base
+		for w := base; w < base+c.ways; w++ {
+			if !c.valid[w] {
+				i = w
+			} else if c.valid[i] && c.age[w] >= c.age[i] {
+				i = w
+			}
 		}
-		if !c.valid[i] {
-			victim, worst = w, 255
-			continue
-		}
-		if c.age[i] >= worst && worst != 255 {
-			victim, worst = w, c.age[i]
-		}
+		c.tags[i] = tag
+		c.valid[i] = true
 	}
-	i := base + victim
-	c.tags[i] = tag
-	c.valid[i] = true
-	c.touch(s, victim)
+	c.touch(base, i)
 }
 
-func (c *Cache) touch(s, w int) {
-	base := s * c.ways
-	old := c.age[base+w]
-	for i := 0; i < c.ways; i++ {
-		if c.age[base+i] < old {
-			c.age[base+i]++
+// touch marks way i (of the set starting at base) most-recently used.
+func (c *Cache) touch(base, i int) {
+	old := c.age[i]
+	ages := c.age[base : base+c.ways]
+	for w, a := range ages {
+		if a < old {
+			ages[w] = a + 1
 		}
 	}
-	c.age[base+w] = 0
+	c.age[i] = 0
 }
 
 // MissRate returns Misses/Accesses.

@@ -242,8 +242,11 @@ func labelKey(labels []Label) string {
 }
 
 // lookup returns (creating if needed) the child for (name, labels),
-// enforcing family type consistency.
-func (r *Registry) lookup(name, help, typ string, labels []Label) *child {
+// enforcing family type consistency. set fills in the child's metric
+// under the registry lock, so goroutines that ask for a new child at the
+// same time all get the one metric, and exposition never sees a child
+// without it.
+func (r *Registry) lookup(name, help, typ string, labels []Label, set func(*child)) *child {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
@@ -261,6 +264,7 @@ func (r *Registry) lookup(name, help, typ string, labels []Label) *child {
 		f.children[key] = c
 		f.order = append(f.order, key)
 	}
+	set(c)
 	return c
 }
 
@@ -270,10 +274,11 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return &Counter{}
 	}
-	c := r.lookup(name, help, typeCounter, labels)
-	if c.ctr == nil {
-		c.ctr = &Counter{}
-	}
+	c := r.lookup(name, help, typeCounter, labels, func(c *child) {
+		if c.ctr == nil {
+			c.ctr = &Counter{}
+		}
+	})
 	return c.ctr
 }
 
@@ -283,10 +288,11 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return &Gauge{}
 	}
-	c := r.lookup(name, help, typeGauge, labels)
-	if c.gauge == nil {
-		c.gauge = &Gauge{}
-	}
+	c := r.lookup(name, help, typeGauge, labels, func(c *child) {
+		if c.gauge == nil {
+			c.gauge = &Gauge{}
+		}
+	})
 	return c.gauge
 }
 
@@ -297,8 +303,7 @@ func (r *Registry) GaugeFunc(name, help string, f func() float64, labels ...Labe
 	if r == nil {
 		return
 	}
-	c := r.lookup(name, help, typeGauge, labels)
-	c.gfunc = f
+	r.lookup(name, help, typeGauge, labels, func(c *child) { c.gfunc = f })
 }
 
 // Histogram returns the histogram for (name, labels), creating it with
@@ -309,10 +314,11 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if r == nil {
 		return newHistogram(bounds)
 	}
-	c := r.lookup(name, help, typeHistogram, labels)
-	if c.hist == nil {
-		c.hist = newHistogram(bounds)
-	}
+	c := r.lookup(name, help, typeHistogram, labels, func(c *child) {
+		if c.hist == nil {
+			c.hist = newHistogram(bounds)
+		}
+	})
 	return c.hist
 }
 

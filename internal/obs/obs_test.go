@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"net/http/httptest"
 	"reflect"
@@ -92,6 +93,57 @@ func TestConcurrentUpdates(t *testing.T) {
 	}
 	if lc := r.Counter("labeled", "", L("w", "shared")).Value(); lc != workers*each {
 		t.Errorf("labeled counter = %d, want %d", lc, workers*each)
+	}
+}
+
+// TestConcurrentFirstUse has several goroutines ask for the same new
+// counters, gauges and histograms at once while exposition renders: each
+// (name, labels) must yield one metric holding every goroutine's update,
+// and exposition must never meet a child whose metric is not made yet.
+// Run under -race in scripts/verify.sh.
+func TestConcurrentFirstUse(t *testing.T) {
+	r := NewRegistry()
+	const workers, children = 4, 300
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < children; i++ {
+				l := L("i", fmt.Sprint(i))
+				r.Counter("first_total", "", l).Inc()
+				r.Gauge("first_depth", "", l).Add(1)
+				r.Histogram("first_seconds", "", []float64{1}, l).Observe(0.5)
+			}
+		}()
+	}
+	scraped := make(chan error, 1)
+	go func() {
+		<-start
+		var err error
+		for k := 0; k < 50 && err == nil; k++ {
+			err = r.WritePrometheus(io.Discard)
+		}
+		scraped <- err
+	}()
+	close(start)
+	wg.Wait()
+	if err := <-scraped; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < children; i++ {
+		l := L("i", fmt.Sprint(i))
+		if v := r.Counter("first_total", "", l).Value(); v != workers {
+			t.Fatalf("first_total{i=%d} = %d, want %d", i, v, workers)
+		}
+		if v := r.Gauge("first_depth", "", l).Value(); v != workers {
+			t.Fatalf("first_depth{i=%d} = %v, want %d", i, v, workers)
+		}
+		if v := r.Histogram("first_seconds", "", nil, l).Count(); v != workers {
+			t.Fatalf("first_seconds{i=%d} count = %d, want %d", i, v, workers)
+		}
 	}
 }
 

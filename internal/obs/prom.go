@@ -15,21 +15,34 @@ const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // WritePrometheus renders every registered family in Prometheus text
 // format, families sorted by name and children in registration order, so
-// output is deterministic (golden-testable) and scrape-friendly.
+// output is deterministic (golden-testable) and scrape-friendly. It
+// copies the children under the registry lock, so a child registered
+// while it writes is left out rather than raced with, and reads the
+// metrics' atomic values (and calls gauge functions) outside the lock.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	type famCopy struct {
+		f    *family
+		kids []child
+	}
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	fams := make([]*family, len(names))
+	fams := make([]famCopy, len(names))
 	for i, n := range names {
-		fams[i] = r.families[n]
+		f := r.families[n]
+		kids := make([]child, len(f.order))
+		for j, key := range f.order {
+			kids[j] = *f.children[key]
+		}
+		fams[i] = famCopy{f, kids}
 	}
 	r.mu.Unlock()
 
-	for _, f := range fams {
+	for _, fc := range fams {
+		f := fc.f
 		if f.help != "" {
 			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help)); err != nil {
 				return err
@@ -38,8 +51,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ); err != nil {
 			return err
 		}
-		for _, key := range f.order {
-			if err := writeChild(w, f, f.children[key]); err != nil {
+		for i := range fc.kids {
+			if err := writeChild(w, f, &fc.kids[i]); err != nil {
 				return err
 			}
 		}

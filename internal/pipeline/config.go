@@ -193,5 +193,8 @@ func (c *Config) Validate() error {
 	if c.BPredToFetch < 1 {
 		return fmt.Errorf("pipeline: BPredToFetch must be >= 1")
 	}
+	if err := c.BTB.Validate(); err != nil {
+		return fmt.Errorf("pipeline: %w", err)
+	}
 	return nil
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"elfetch/internal/btb"
 	"elfetch/internal/core"
 )
 
@@ -66,5 +67,50 @@ func TestParseFront(t *testing.T) {
 		if _, err := ParseFront(bad); err == nil {
 			t.Errorf("ParseFront(%q) accepted an unknown front-end", bad)
 		}
+	}
+}
+
+// TestValidateBTBGeometry pins the BTB geometry rule: L0Entries is 0 (no
+// L0, as the ablate experiment uses) or positive, and L1 and L2 need
+// positive entries and ways, entries divisible by ways and a power-of-two
+// set count, so that a mask finds the set. btb.New builds every geometry
+// Validate accepts and panics on every one it rejects.
+func TestValidateBTBGeometry(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*btb.Config)
+		ok   bool
+	}{
+		{"default", func(*btb.Config) {}, true},
+		{"no L0", func(c *btb.Config) { c.L0Entries = 0 }, true},
+		{"odd L0", func(c *btb.Config) { c.L0Entries = 23 }, true},
+		{"direct-mapped L1", func(c *btb.Config) { c.L1Ways = 1 }, true},
+		{"one-set L2", func(c *btb.Config) { c.L2Entries, c.L2Ways = 8, 8 }, true},
+		{"negative L0", func(c *btb.Config) { c.L0Entries = -1 }, false},
+		{"zero L1 ways", func(c *btb.Config) { c.L1Ways = 0 }, false},
+		{"negative L1 ways", func(c *btb.Config) { c.L1Ways = -4 }, false},
+		{"zero L1 entries", func(c *btb.Config) { c.L1Entries = 0 }, false},
+		{"48 L1 sets", func(c *btb.Config) { c.L1Entries = 192 }, false},
+		{"L1 entries not divisible by ways", func(c *btb.Config) { c.L1Entries = 258 }, false},
+		{"L1 ways above entries", func(c *btb.Config) { c.L1Entries, c.L1Ways = 4, 8 }, false},
+		{"zero L2 entries", func(c *btb.Config) { c.L2Entries = 0 }, false},
+		{"zero L2 ways", func(c *btb.Config) { c.L2Ways = 0 }, false},
+		{"3 L2 sets", func(c *btb.Config) { c.L2Entries = 24 }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := DefaultConfig()
+			tc.edit(&c.BTB)
+			err := c.Validate()
+			if (err == nil) != tc.ok {
+				t.Fatalf("Validate() = %v, want ok=%v", err, tc.ok)
+			}
+			defer func() {
+				if r := recover(); (r == nil) != tc.ok {
+					t.Errorf("btb.New panicked with %v; want a panic only for a rejected geometry", r)
+				}
+			}()
+			btb.New(c.BTB)
+		})
 	}
 }

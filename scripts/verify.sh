@@ -31,6 +31,11 @@ go test ./...
 # registry × golden-config grid and of every other experiment-registry
 # cell, and the steady-state zero-allocation contract.
 go test -count=1 -run 'TestGoldenStatsEquivalence|TestGoldenExperimentCells' ./internal/eval/ && go test -count=1 -run TestSteadyStateZeroAllocs .
+# Per-access table costs (DESIGN.md §17): each rewritten structure answers
+# as its reference model does (the age-permutation BTB banks and caches,
+# the counting history fold and three-fold TAGE index/tag, the whole-window
+# store scans), and the BTB geometry a set mask cannot index is rejected.
+go test -count=1 -run 'TestBankMatchesAgeReference|TestBTBMatchesAgeReference|TestCacheMatchesDivisionReference|TestFoldMatchesReference|TestTAGEIndexTagMatchesReference|TestWindowScansMatchReference|TestValidateBTBGeometry' ./internal/btb/ ./internal/cache/ ./internal/bpred/ ./internal/backend/ ./internal/pipeline/
 go test -race ./internal/sched/... ./internal/eval/... ./internal/exec/... ./internal/obs/... ./internal/pipeline/... ./internal/store/... ./cmd/elfd/...
 # Observability gates, named so a failure is legible on its own: the
 # federation merge golden (the fleet /metrics view is a wire format) and
@@ -66,9 +71,10 @@ go test -race -count=1 -run TestExperimentRegistry ./internal/eval/
 go test -race -count=1 -run TestCoordinatorDispatchesExperimentCells ./cmd/elfd/
 # One count per fact, race-checked: every Stats() count of the scheduler,
 # the disk store and the fleet workers equals its exposed series, nil
-# registries and rings are no-ops, elfd's run counts are per server, and
+# registries and rings are no-ops, elfd's run counts are per server, a
+# metric that several goroutines ask for first at once is one metric, and
 # the case-2b overshoot squash is counted where the pipeline performs it.
-go test -race -count=1 -run 'TestNilSinksAreNoOps|TestCounterValues|TestStatsMatchExposedSeries|TestFleetRetrySpansAndEvents|TestDiskMetricsAndEvents|TestRunCountsArePerServer|TestCaseTwoBOvershootSquashCounted' ./internal/obs/ ./internal/sched/ ./internal/exec/ ./internal/store/ ./cmd/elfd/ ./internal/pipeline/
+go test -race -count=1 -run 'TestNilSinksAreNoOps|TestCounterValues|TestConcurrentFirstUse|TestStatsMatchExposedSeries|TestFleetRetrySpansAndEvents|TestDiskMetricsAndEvents|TestRunCountsArePerServer|TestCaseTwoBOvershootSquashCounted' ./internal/obs/ ./internal/sched/ ./internal/exec/ ./internal/store/ ./cmd/elfd/ ./internal/pipeline/
 # One scheduler per process, race-checked: a job is counted before its
 # waiters are released (run 50 times, since the old race was narrow); a
 # job waiting on nested jobs hands its worker back (one worker still
