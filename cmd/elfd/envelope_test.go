@@ -31,11 +31,16 @@ func envelope(t *testing.T, decoded map[string]any) (code, message string) {
 	return code, message
 }
 
+// configCell is a valid leela cell whose configuration edit applies.
+func configCell(edit func(*pipeline.Config)) eval.Cell {
+	c := eval.Cell{Workload: "641.leela_s", Config: pipeline.DefaultConfig(), Warmup: 1000, Measure: 4000}
+	edit(&c.Config)
+	return c
+}
+
 // btbCell is a valid leela cell whose BTB geometry edit applies.
 func btbCell(edit func(*btb.Config)) eval.Cell {
-	c := eval.Cell{Workload: "641.leela_s", Config: pipeline.DefaultConfig(), Warmup: 1000, Measure: 4000}
-	edit(&c.Config.BTB)
-	return c
+	return configCell(func(c *pipeline.Config) { edit(&c.BTB) })
 }
 
 // TestErrorEnvelope drives every handler failure path and asserts the
@@ -87,6 +92,33 @@ func TestErrorEnvelope(t *testing.T) {
 			btbCell(func(c *btb.Config) { c.L2Entries = 0 }), http.StatusBadRequest, "bad_request"},
 		{"cell BTB 48 L1 sets", "POST", "/v1/cells",
 			btbCell(func(c *btb.Config) { c.L1Entries = 192 }), http.StatusBadRequest, "bad_request"},
+		// So is a back end that would panic sizing its arrays (a negative
+		// ROB, commit width or prefetch bound) or never commit (a zero
+		// size, width or port count, or a latency below one).
+		{"cell ROB negative", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.Backend.ROB = -1 }), http.StatusBadRequest, "bad_request"},
+		{"cell commit width negative", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.Backend.CommitWidth = -1 }), http.StatusBadRequest, "bad_request"},
+		{"cell MaxPrefetch negative", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.MaxPrefetch = -1 }), http.StatusBadRequest, "bad_request"},
+		{"cell ROB zero", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.Backend.ROB = 0 }), http.StatusBadRequest, "bad_request"},
+		{"cell commit width zero", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.Backend.CommitWidth = 0 }), http.StatusBadRequest, "bad_request"},
+		{"cell rename width zero", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.Backend.RenameWidth = 0 }), http.StatusBadRequest, "bad_request"},
+		{"cell IQ zero", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.Backend.IQ = 0 }), http.StatusBadRequest, "bad_request"},
+		{"cell LSQ zero", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.Backend.LSQ = 0 }), http.StatusBadRequest, "bad_request"},
+		{"cell ALU ports zero", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.Backend.ALUPorts = 0 }), http.StatusBadRequest, "bad_request"},
+		{"cell memory ports zero", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.Backend.MemPorts = 0 }), http.StatusBadRequest, "bad_request"},
+		{"cell ALU latency zero", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.Backend.ALULat = 0 }), http.StatusBadRequest, "bad_request"},
+		{"cell ALU latency negative", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.Backend.ALULat = -1 }), http.StatusBadRequest, "bad_request"},
 		// Bodies past maxRequestBytes are refused before they are read
 		// in full, however well-formed.
 		{"cell over the body bound", "POST", "/v1/cells",

@@ -13,6 +13,8 @@
 package backend
 
 import (
+	"fmt"
+
 	"elfetch/internal/cache"
 	"elfetch/internal/isa"
 	"elfetch/internal/ringq"
@@ -40,6 +42,35 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxROB bounds Config.ROB at 16 times Table II's window. New sizes the
+// ROB and its side arrays from it, so the bound caps what one machine
+// allocates before it runs.
+const MaxROB = 4096
+
+// Validate rejects a configuration the engine cannot run: every size,
+// width, port count and latency must be positive (a zero one stalls the
+// engine or, for a latency, loses the completion), and ROB at most
+// MaxROB.
+func (c Config) Validate() error {
+	if c.ROB > MaxROB {
+		return fmt.Errorf("backend: ROB %d above %d", c.ROB, MaxROB)
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"ROB", c.ROB}, {"IQ", c.IQ}, {"LSQ", c.LSQ},
+		{"RenameWidth", c.RenameWidth}, {"CommitWidth", c.CommitWidth},
+		{"ALUPorts", c.ALUPorts}, {"MulDivPorts", c.MulDivPorts}, {"MemPorts", c.MemPorts}, {"SIMDPorts", c.SIMDPorts},
+		{"ALULat", c.ALULat}, {"MulDivLat", c.MulDivLat}, {"SIMDLat", c.SIMDLat}, {"AGULat", c.AGULat}, {"BranchLat", c.BranchLat},
+	} {
+		if f.v <= 0 {
+			return fmt.Errorf("backend: %s %d is not positive", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // entry state
 const (
 	stWaiting uint8 = iota
@@ -62,8 +93,11 @@ type robEntry struct {
 	// wait for (memory-dependence filter).
 	mdpWait int64
 	// srcProd are the absolute ids of the source producers (-1 none);
-	// kept so dependence edges can be rebuilt after a squash.
+	// kept so a squash can unlink the entry's dependence edges.
 	srcProd [2]int64
+	// prevRAT is the RAT mapping of dest that this entry replaced at
+	// Accept (-1 none); a squash restores it.
+	prevRAT int64
 	// addrDone marks a store whose address has resolved (it "executed").
 	addrDone bool
 }
@@ -103,14 +137,20 @@ type Backend struct {
 	// dependence filter scan it instead of the whole window.
 	stores               []uint64
 	storeHead, storeTail uint64
-	iqCount              int
-	lsqCount             int
+	// loads is the same ring for the in-flight loads, which the
+	// memory-order check scans.
+	loads              []uint64
+	loadHead, loadTail uint64
+	iqCount            int
+	lsqCount           int
 
 	// rat maps architectural registers to producing entry ids (-1 none).
 	rat [isa.NumArchRegs]int64
 
 	// dependence edges: depHead[slot] is the first edge of the producer
 	// in rob slot; edges are identified as consumerSlot*2+srcIndex.
+	// Accept pushes edges at the head in age order, so each list runs
+	// youngest consumer first.
 	depHead []int32
 	depNext []int32
 
@@ -161,6 +201,7 @@ func New(cfg Config, hier *cache.Hierarchy) *Backend {
 		rob:         make([]robEntry, size),
 		mask:        uint64(size - 1),
 		stores:      make([]uint64, size),
+		loads:       make([]uint64, size),
 		depHead:     make([]int32, size),
 		depNext:     make([]int32, size*2),
 		// Steady-state allocation discipline (DESIGN.md §17): every
@@ -256,15 +297,20 @@ func (b *Backend) Accept(u *uop.Uop) bool {
 		}
 	}
 
+	e.prevRAT = -1
 	if e.dest != isa.RegZero {
+		e.prevRAT = b.rat[e.dest]
 		b.rat[e.dest] = int64(id)
 	}
 	b.robTail++
 	b.iqCount++
-	if class.IsMemory() {
+	switch class {
+	case isa.Load:
 		b.lsqCount++
-	}
-	if class == isa.Store {
+		b.loads[b.loadTail&b.mask] = id
+		b.loadTail++
+	case isa.Store:
+		b.lsqCount++
 		b.stores[b.storeTail&b.mask] = id
 		b.storeTail++
 	}
@@ -424,34 +470,48 @@ func (b *Backend) wakeMDPWaiters(storeID uint64) {
 	b.mdpWaiters = kept
 }
 
-// checkStoreOrderViolation finds younger loads to the same line that
-// already executed: a RAW order violation (Table II "Memory
-// Disambiguation"). The filter trains and the pipeline refetches from the
+// checkStoreOrderViolation raises a RAW order violation (Table II
+// "Memory Disambiguation") when a younger load to the store's 8-byte slot
+// already executed. The filter trains and the pipeline refetches from the
 // load.
 func (b *Backend) checkStoreOrderViolation(store *robEntry) {
-	line := store.u.MemAddr &^ 7
-	for id := store.id + 1; id < b.robTail; id++ {
-		e := b.slot(id)
-		if e.u.WrongPath || e.class != isa.Load {
-			continue
-		}
-		if e.state != stIssued && e.state != stDone {
-			continue
-		}
-		if e.u.MemAddr&^7 != line {
-			continue
-		}
-		b.LoadViolations++
-		b.mdp.Train(e.u.PC, store.u.PC)
-		b.pendingResolutions.PushBack(Resolution{
-			ID:         e.id,
-			FetchID:    e.u.FetchID,
-			Kind:       uop.FlushMemOrder,
-			RefetchSeq: e.u.Seq,
-			RefetchPC:  e.u.PC,
-		})
+	e := b.violatingLoad(store)
+	if e == nil {
 		return
 	}
+	b.LoadViolations++
+	b.mdp.Train(e.u.PC, store.u.PC)
+	b.pendingResolutions.PushBack(Resolution{
+		ID:         e.id,
+		FetchID:    e.u.FetchID,
+		Kind:       uop.FlushMemOrder,
+		RefetchSeq: e.u.Seq,
+		RefetchPC:  e.u.PC,
+	})
+}
+
+// violatingLoad returns the oldest correct-path load younger than store
+// that has issued to the store's 8-byte slot, or nil. It scans the load
+// ring from the oldest load younger than the store, which a binary search
+// over the ring's ascending ids finds.
+func (b *Backend) violatingLoad(store *robEntry) *robEntry {
+	line := store.u.MemAddr &^ 7
+	lo, hi := b.loadHead, b.loadTail
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if b.loads[mid&b.mask] < store.id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for k := lo; k < b.loadTail; k++ {
+		e := b.slot(b.loads[k&b.mask])
+		if !e.u.WrongPath && (e.state == stIssued || e.state == stDone) && e.u.MemAddr&^7 == line {
+			return e
+		}
+	}
+	return nil
 }
 
 func (b *Backend) raiseBranchResolution(e *robEntry) {
@@ -565,24 +625,22 @@ func (b *Backend) Commit(now uint64) {
 		if e.state != stDone {
 			return
 		}
-		if e.class.IsMemory() {
+		switch e.class {
+		case isa.Load:
 			b.lsqCount--
-			if e.class == isa.Store {
-				b.storeHead++
-			}
+			b.loadHead++
+		case isa.Store:
+			b.lsqCount--
+			b.storeHead++
 		}
 		if !e.u.WrongPath {
 			b.retired = append(b.retired, &e.u)
 			b.Committed++
 		}
-		b.clearRATIfOwner(e)
+		if d := e.dest; d != isa.RegZero && b.rat[d] == int64(e.id) {
+			b.rat[d] = -1
+		}
 		b.robHead++
-	}
-}
-
-func (b *Backend) clearRATIfOwner(e *robEntry) {
-	if d := e.dest; d != isa.RegZero && b.rat[d] == int64(e.id) {
-		b.rat[d] = -1
 	}
 }
 
@@ -618,29 +676,47 @@ func (b *Backend) PopResolution() {
 }
 
 // SquashFrom discards every entry with id >= boundary (exclusive flush of
-// younger instructions) and repairs the RAT.
+// younger instructions). It walks only the squashed entries, youngest
+// first, and undoes what Accept did for each: its destination's RAT entry
+// gets back the mapping it replaced, and a waiting entry's dependence
+// edges come off its surviving producers' lists, where Accept's age order
+// puts them at the head. A survivor's producers are older than it and
+// survive too, so no survivor's pending count or readiness changes.
 func (b *Backend) SquashFrom(boundary uint64) {
 	if boundary < b.robHead {
 		boundary = b.robHead
 	}
-	for id := boundary; id < b.robTail; id++ {
+	for id := b.robTail; id > boundary; {
+		id--
 		e := b.slot(id)
-		if e.state != stIssued && e.state != stDone {
-			if e.state == stWaiting || e.state == stReady {
-				b.iqCount--
-			}
+		switch e.state {
+		case stWaiting:
+			b.iqCount--
+			b.unlinkEdges(e, boundary)
+		case stReady:
+			b.iqCount--
 		}
-		if e.class.IsMemory() {
+		switch e.class {
+		case isa.Load:
 			b.lsqCount--
+			b.loadTail--
+		case isa.Store:
+			b.lsqCount--
+			b.storeTail--
 		}
-		b.clearRATIfOwner(e)
+		if d := e.dest; d != isa.RegZero {
+			// The oldest squashed writer of d restores last. A mapping
+			// to an entry that has committed since reads as none.
+			p := e.prevRAT
+			if p >= 0 && uint64(p) < b.robHead {
+				p = -1
+			}
+			b.rat[d] = p
+		}
 		e.id = ^uint64(0) // invalidate
 	}
 	b.robTail = boundary
-	for b.storeTail > b.storeHead && b.stores[(b.storeTail-1)&b.mask] >= boundary {
-		b.storeTail--
-	}
-	// Drop squashed entries from the ready list and dependence edges.
+	// Drop squashed entries from the ready list.
 	kept := b.ready[:0]
 	for _, s := range b.ready {
 		e := &b.rob[s]
@@ -669,44 +745,23 @@ func (b *Backend) SquashFrom(boundary uint64) {
 	}
 	b.mdpWaiters = keptW
 	// Drop squashed resolutions lazily via OldestResolution.
-	// Repair the RAT and rebuild the dependence edges from survivors:
-	// squashed consumers left dangling edges in producers' lists, and a
-	// reused consumer slot re-linking the same producer would otherwise
-	// corrupt the list into a cycle.
-	for i := range b.rat {
-		b.rat[i] = -1
-	}
-	for i := range b.depHead {
-		b.depHead[i] = -1
-	}
-	for id := b.robHead; id < b.robTail; id++ {
-		e := b.slot(id)
-		if d := e.dest; d != isa.RegZero {
-			b.rat[d] = int64(id)
-		}
-		if e.state != stWaiting {
+}
+
+// unlinkEdges pops the squashed waiting entry e's edges off the lists of
+// its producers that survive the squash at boundary and have not
+// completed (a completed producer's list is already empty, and a squashed
+// one's is reset when Accept reuses its slot). The squash walks consumers
+// youngest first, so e's edges are the heads of those lists.
+func (b *Backend) unlinkEdges(e *robEntry, boundary uint64) {
+	for _, pid := range e.srcProd {
+		if pid < 0 || uint64(pid) < b.robHead || uint64(pid) >= boundary {
 			continue
 		}
-		slotIdx := int32(id & b.mask)
-		e.pending = 0
-		for s, pid := range e.srcProd {
-			if pid < 0 || uint64(pid) < b.robHead || uint64(pid) >= b.robTail {
-				continue
-			}
-			pe := b.slot(uint64(pid))
-			if pe.id != uint64(pid) || pe.state == stDone {
-				continue
-			}
-			edge := slotIdx*2 + int32(s)
-			pslot := int32(uint64(pid) & b.mask)
-			b.depNext[edge] = b.depHead[pslot]
-			b.depHead[pslot] = edge
-			e.pending++
+		pslot := uint64(pid) & b.mask
+		if b.rob[pslot].state == stDone {
+			continue
 		}
-		if e.pending == 0 && e.mdpWaitSatisfied(b) && e.mdpWait < 0 {
-			e.state = stReady
-			b.ready = append(b.ready, slotIdx)
-		}
+		b.depHead[pslot] = b.depNext[b.depHead[pslot]]
 	}
 }
 

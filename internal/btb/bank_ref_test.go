@@ -87,7 +87,7 @@ func (b *refBank) insert(e Entry) {
 	b.touch(s, victim)
 }
 
-// refBTB is the hierarchy over reference banks, with the Lookup, Probe and
+// refBTB is the hierarchy over reference banks, with the Lookup and
 // Install of the age-permutation BTB (Install refreshed a resident L0
 // entry with a lookup followed by an insert).
 type refBTB struct {
@@ -124,21 +124,6 @@ func (b *refBTB) Lookup(pc isa.Addr) (Entry, Level) {
 			b.l0.insert(cp)
 		}
 		return cp, L2
-	}
-	return Entry{}, Miss
-}
-
-func (b *refBTB) Probe(pc isa.Addr) (Entry, Level) {
-	if b.l0 != nil {
-		if e, ok := b.l0.lookup(pc); ok {
-			return *e, L0
-		}
-	}
-	if e, ok := b.l1.lookup(pc); ok {
-		return *e, L1
-	}
-	if e, ok := b.l2.lookup(pc); ok {
-		return *e, L2
 	}
 	return Entry{}, Miss
 }
@@ -206,12 +191,12 @@ func TestBankMatchesAgeReference(t *testing.T) {
 				got, ok := b.lookup(pc)
 				want, wok := ref.lookup(pc)
 				if ok != wok {
-					t.Fatalf("op %d: lookup(%#x) hit=%v, reference %v", op, pc, ok, wok)
+					t.Fatalf("op %d: lookup(%v) hit=%v, reference %v", op, pc, ok, wok)
 				}
 				if ok {
 					hits++
 					if *got != *want {
-						t.Fatalf("op %d: lookup(%#x) = %+v, reference %+v", op, pc, *got, *want)
+						t.Fatalf("op %d: lookup(%v) = %+v, reference %+v", op, pc, *got, *want)
 					}
 				}
 			}
@@ -224,9 +209,8 @@ func TestBankMatchesAgeReference(t *testing.T) {
 }
 
 // TestBTBMatchesAgeReference drives the whole hierarchy and a hierarchy of
-// reference banks with the same 1M Lookups, Probes and Installs, with and
-// without the L0, and requires the same level and entry from every
-// Lookup and Probe.
+// reference banks with the same 1M Lookups and Installs, with and without
+// the L0, and requires the same level and entry from every Lookup.
 func TestBTBMatchesAgeReference(t *testing.T) {
 	noL0 := DefaultConfig()
 	noL0.L0Entries = 0
@@ -241,17 +225,11 @@ func TestBTBMatchesAgeReference(t *testing.T) {
 				e := randEntry(&r, pc)
 				b.Install(e)
 				ref.Install(e)
-			case roll < 4:
-				got, lvl := b.Probe(pc)
-				want, wlvl := ref.Probe(pc)
-				if lvl != wlvl || got != want {
-					t.Fatalf("cfg %d op %d: Probe(%#x) = %v %+v, reference %v %+v", ci, op, pc, lvl, got, wlvl, want)
-				}
 			default:
 				got, lvl := b.Lookup(pc)
 				want, wlvl := ref.Lookup(pc)
 				if lvl != wlvl || got != want {
-					t.Fatalf("cfg %d op %d: Lookup(%#x) = %v %+v, reference %v %+v", ci, op, pc, lvl, got, wlvl, want)
+					t.Fatalf("cfg %d op %d: Lookup(%v) = %v %+v, reference %v %+v", ci, op, pc, lvl, got, wlvl, want)
 				}
 			}
 		}

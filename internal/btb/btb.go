@@ -281,22 +281,6 @@ func (b *BTB) Lookup(pc isa.Addr) (Entry, Level) {
 	return Entry{}, Miss
 }
 
-// Probe is Lookup without promotion or statistics (for tests/tools).
-func (b *BTB) Probe(pc isa.Addr) (Entry, Level) {
-	if b.l0 != nil {
-		if e, ok := b.l0.lookup(pc); ok {
-			return *e, L0
-		}
-	}
-	if e, ok := b.l1.lookup(pc); ok {
-		return *e, L1
-	}
-	if e, ok := b.l2.lookup(pc); ok {
-		return *e, L2
-	}
-	return Entry{}, Miss
-}
-
 // Install establishes a retired entry into L2 and L1 (Section III-A: BTB
 // entries are established non-speculatively as instructions retire). A
 // same-start entry already resident in L0 is refreshed in place so the

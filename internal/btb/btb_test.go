@@ -8,6 +8,21 @@ import (
 
 func newDefault() *BTB { return New(DefaultConfig()) }
 
+// resident returns the entry starting at pc and the fastest level holding
+// it, read through each bank's find: unlike Lookup it promotes nothing and
+// changes no LRU stamp or statistic.
+func resident(b *BTB, pc isa.Addr) (Entry, Level) {
+	for l, bk := range []*bank{b.l0, b.l1, b.l2} {
+		if bk == nil {
+			continue
+		}
+		if i := bk.find(pc); i >= 0 {
+			return bk.entries[i], Level(l)
+		}
+	}
+	return Entry{}, Miss
+}
+
 func entryAt(start isa.Addr, count uint8) Entry {
 	return Entry{Start: start, Count: count}
 }
@@ -65,7 +80,7 @@ func TestL1FallsBackToL2(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		b.Install(entryAt(isa.Addr(0x4000+i*stride), 4))
 	}
-	if _, lvl := b.Probe(0x4000); lvl != L2 {
+	if _, lvl := resident(b, 0x4000); lvl != L2 {
 		t.Errorf("evicted-from-L1 entry level = %v, want L2", lvl)
 	}
 }
@@ -74,12 +89,12 @@ func TestInstallRefreshesResidentL0(t *testing.T) {
 	b := newDefault()
 	b.Install(entryAt(0x3000, 16))
 	b.Lookup(0x3000) // promote to L0
-	if _, lvl := b.Probe(0x3000); lvl != L0 {
+	if _, lvl := resident(b, 0x3000); lvl != L0 {
 		t.Fatal("setup: entry not in L0")
 	}
 	amended := entryAt(0x3000, 7)
 	b.Install(amended)
-	got, lvl := b.Probe(0x3000)
+	got, lvl := resident(b, 0x3000)
 	if lvl != L0 || got.Count != 7 {
 		t.Errorf("L0 not refreshed: lvl=%v count=%d", lvl, got.Count)
 	}

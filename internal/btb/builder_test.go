@@ -17,7 +17,7 @@ func TestBuilderMaxInstsEntry(t *testing.T) {
 	hier := newDefault()
 	b := NewBuilder(hier)
 	retireSeq(b, 0x1000, 16)
-	e, lvl := hier.Probe(0x1000)
+	e, lvl := resident(hier, 0x1000)
 	if lvl == Miss {
 		t.Fatal("16-instruction run did not install an entry")
 	}
@@ -26,7 +26,7 @@ func TestBuilderMaxInstsEntry(t *testing.T) {
 	}
 	// The next instruction opens the follow-on entry at the fallthrough.
 	retireSeq(b, 0x1000+16*4, 16)
-	if _, lvl := hier.Probe(0x1000 + 16*4); lvl == Miss {
+	if _, lvl := resident(hier, 0x1000+16*4); lvl == Miss {
 		t.Error("follow-on entry missing")
 	}
 }
@@ -36,7 +36,7 @@ func TestBuilderUncondTerminates(t *testing.T) {
 	b := NewBuilder(hier)
 	retireSeq(b, 0x2000, 3)
 	b.Retire(0x2000+3*4, isa.Jump, true, 0x4000)
-	e, lvl := hier.Probe(0x2000)
+	e, lvl := resident(hier, 0x2000)
 	if lvl == Miss {
 		t.Fatal("entry not installed at unconditional")
 	}
@@ -55,7 +55,7 @@ func TestBuilderNeverTakenCondInvisible(t *testing.T) {
 	retireSeq(b, 0x3000, 2)
 	b.Retire(0x3000+2*4, isa.CondBranch, false, 0x5000) // never taken
 	retireSeq(b, 0x3000+3*4, 13)
-	e, _ := hier.Probe(0x3000)
+	e, _ := resident(hier, 0x3000)
 	if e.NumBranches != 0 {
 		t.Errorf("never-taken conditional occupies a slot: %+v", e)
 	}
@@ -69,7 +69,7 @@ func TestBuilderTakenCondEndsWalkAndOccupiesSlot(t *testing.T) {
 	b := NewBuilder(hier)
 	retireSeq(b, 0x4000, 2)
 	b.Retire(0x4000+2*4, isa.CondBranch, true, 0x6000)
-	e, lvl := hier.Probe(0x4000)
+	e, lvl := resident(hier, 0x4000)
 	if lvl == Miss {
 		t.Fatal("entry not installed at taken conditional")
 	}
@@ -88,14 +88,14 @@ func TestBuilderAmendmentOnNewlyTakenCond(t *testing.T) {
 	retireSeq(b, 0x5000, 2)
 	b.Retire(0x5000+2*4, isa.CondBranch, false, 0x7000)
 	retireSeq(b, 0x5000+3*4, 13)
-	e, _ := hier.Probe(0x5000)
+	e, _ := resident(hier, 0x5000)
 	if e.NumBranches != 0 {
 		t.Fatalf("setup: %+v", e)
 	}
 	// Second pass: the conditional turns taken -> amended entry.
 	retireSeq(b, 0x5000, 2)
 	b.Retire(0x5000+2*4, isa.CondBranch, true, 0x7000)
-	e, _ = hier.Probe(0x5000)
+	e, _ = resident(hier, 0x5000)
 	if e.NumBranches != 1 || e.Count != 3 {
 		t.Fatalf("amended entry = %+v", e)
 	}
@@ -104,7 +104,7 @@ func TestBuilderAmendmentOnNewlyTakenCond(t *testing.T) {
 	retireSeq(b, 0x5000, 2)
 	b.Retire(0x5000+2*4, isa.CondBranch, false, 0x7000)
 	retireSeq(b, 0x5000+3*4, 13)
-	e, _ = hier.Probe(0x5000)
+	e, _ = resident(hier, 0x5000)
 	if e.NumBranches != 1 || e.Count != 16 {
 		t.Fatalf("re-extended entry = %+v", e)
 	}
@@ -131,14 +131,14 @@ func TestBuilderSplitOnThirdTakenCond(t *testing.T) {
 	b.Retire(pcs[2], isa.CondBranch, false, 0x9000)
 	retireSeq(b, 0x6000+6*4, 10)
 
-	first, lvl := hier.Probe(0x6000)
+	first, lvl := resident(hier, 0x6000)
 	if lvl == Miss {
 		t.Fatal("first split entry missing")
 	}
 	if first.Count != 5 || first.NumBranches != 2 {
 		t.Fatalf("first = %+v", first)
 	}
-	second, lvl := hier.Probe(pcs[2])
+	second, lvl := resident(hier, pcs[2])
 	if lvl == Miss {
 		t.Fatal("second split entry missing (should start at the third branch)")
 	}
@@ -151,7 +151,7 @@ func TestBuilderIndirectStoresNoTarget(t *testing.T) {
 	hier := newDefault()
 	b := NewBuilder(hier)
 	b.Retire(0x7000, isa.IndirectBranch, true, 0xDEAD0)
-	e, _ := hier.Probe(0x7000)
+	e, _ := resident(hier, 0x7000)
 	if e.NumBranches != 1 || e.Branches[0].Target != 0 {
 		t.Errorf("indirect branch should store no target: %+v", e)
 	}
@@ -166,7 +166,7 @@ func TestBuilderRetireStreamJumpClosesEntry(t *testing.T) {
 	retireSeq(b, 0x8000, 5)
 	// Stream jumps (e.g. after a flush): open entry is finished as-is.
 	retireSeq(b, 0x9000, 16)
-	e, lvl := hier.Probe(0x8000)
+	e, lvl := resident(hier, 0x8000)
 	if lvl == Miss || e.Count != 5 {
 		t.Errorf("jump-closed entry = %+v (lvl %v)", e, lvl)
 	}
@@ -178,11 +178,11 @@ func TestBuilderCallAndRet(t *testing.T) {
 	b.Retire(0xA000, isa.Call, true, 0xB000)
 	b.Retire(0xB000, isa.ALU, false, 0)
 	b.Retire(0xB004, isa.Ret, true, 0)
-	call, _ := hier.Probe(0xA000)
+	call, _ := resident(hier, 0xA000)
 	if call.NumBranches != 1 || call.Branches[0].Class != isa.Call || call.Branches[0].Target != 0xB000 {
 		t.Errorf("call entry = %+v", call)
 	}
-	callee, _ := hier.Probe(0xB000)
+	callee, _ := resident(hier, 0xB000)
 	if callee.Count != 2 || callee.Branches[0].Class != isa.Ret || callee.Branches[0].Target != 0 {
 		t.Errorf("callee entry = %+v", callee)
 	}

@@ -67,7 +67,7 @@ func TestBuilderFuzzInvariants(t *testing.T) {
 		// Periodically audit a random resident entry.
 		if step%64 == 0 {
 			probe := isa.Addr(0x10000 + uint64(r.Intn(1<<14))*4)
-			e, lvl := hier.Probe(probe)
+			e, lvl := resident(hier, probe)
 			if lvl == Miss {
 				continue
 			}

@@ -6,14 +6,16 @@
 //
 // Caches are tag-only (the simulator never needs data contents) with true
 // LRU. Latencies are returned to the pipeline, which models overlap itself;
-// fills are immediate (no MSHR contention model) — the front-end separately
-// bounds in-flight instruction prefetches per Table II.
+// fills are immediate. Data misses contend for the Hierarchy's MSHRs
+// (MaxDMSHR), and the front-end separately bounds in-flight instruction
+// prefetches per Table II.
 package cache
 
 import "elfetch/internal/isa"
 
 // Cache is one tag-only set-associative cache with LRU replacement. The
 // set count is a power of two, so a mask finds the set and a shift the tag.
+// A way holds its line's tag plus one, so 0 marks an empty way.
 // Replacement keeps a one-byte age per way (a per-set permutation, 0 =
 // MRU): an 8-byte last-touch stamp, as the BTB uses, would cost about 1 MB
 // more per machine, most of it in the 16 MB L3 (DESIGN.md §17).
@@ -21,12 +23,11 @@ type Cache struct {
 	name      string
 	ways      int
 	lineBytes int
-	shift     uint   // log2 of the line size
-	setMask   uint64 // sets-1
-	setBits   uint   // log2 of the set count
-	tags      []uint64
-	valid     []bool
-	age       []uint8 // 0 = MRU
+	shift     uint     // log2 of the line size
+	setMask   uint64   // sets-1
+	setBits   uint     // log2 of the set count
+	keys      []uint64 // tag+1 per way, 0 = empty
+	age       []uint8  // 0 = MRU
 
 	// Stats
 	Accesses uint64
@@ -53,9 +54,8 @@ func NewCache(name string, sizeBytes, ways, lineBytes int) *Cache {
 	c := &Cache{
 		name: name, ways: ways, lineBytes: lineBytes, shift: shift,
 		setMask: uint64(sets - 1), setBits: setBits,
-		tags:  make([]uint64, lines),
-		valid: make([]bool, lines),
-		age:   make([]uint8, lines),
+		keys: make([]uint64, lines),
+		age:  make([]uint8, lines),
 	}
 	for i := range c.age {
 		c.age[i] = uint8(i % ways)
@@ -69,54 +69,84 @@ func (c *Cache) Name() string { return c.name }
 // LineBytes returns the line size.
 func (c *Cache) LineBytes() int { return c.lineBytes }
 
-// find returns the first way of addr's set, the index of the valid way
-// holding addr's line (-1 if none) and the line's tag.
-func (c *Cache) find(addr isa.Addr) (base, hit int, tag uint64) {
+// find returns the first way of addr's set, the index of the way holding
+// addr's line (-1 if none), the set's last empty way (-1 if none; only
+// meaningful on a miss) and the line's key.
+func (c *Cache) find(addr isa.Addr) (base, hit, empty int, key uint64) {
 	line := uint64(addr) >> c.shift
 	base = int(line&c.setMask) * c.ways
-	tag = line >> c.setBits
-	for i := base; i < base+c.ways; i++ {
-		if c.tags[i] == tag && c.valid[i] {
-			return base, i, tag
+	key = line>>c.setBits + 1
+	empty = -1
+	for i, k := range c.keys[base : base+c.ways] {
+		switch k {
+		case key:
+			return base, base + i, empty, key
+		case 0:
+			empty = base + i
 		}
 	}
-	return base, -1, tag
+	return base, -1, empty, key
 }
 
-// Access looks up addr, updating LRU and statistics. It does not fill.
+// Access is a demand lookup of addr: it updates LRU and statistics, and on
+// a miss fills the line. It reports a hit. A hierarchy may fill a level as
+// it misses, before looking up the next, because the levels share no
+// state: no level's fill changes another's lookup.
 func (c *Cache) Access(addr isa.Addr) bool {
 	c.Accesses++
-	base, i, _ := c.find(addr)
+	base, i, empty, key := c.find(addr)
 	if i >= 0 {
 		c.touch(base, i)
 		return true
 	}
 	c.Misses++
+	c.fill(base, empty, key)
 	return false
 }
 
 // Probe looks up addr without LRU or statistics side effects.
 func (c *Cache) Probe(addr isa.Addr) bool {
-	_, i, _ := c.find(addr)
+	_, i, _, _ := c.find(addr)
 	return i >= 0
 }
 
-// Fill installs the line containing addr (LRU victim), marking it MRU. The
-// victim is the last invalid way of the set, or else its oldest way.
-func (c *Cache) Fill(addr isa.Addr) {
-	base, i, tag := c.find(addr)
+// Fill installs the line containing addr, or refreshes it if resident,
+// marking it MRU without statistics. It reports whether the line was
+// resident.
+func (c *Cache) Fill(addr isa.Addr) bool {
+	base, i, empty, key := c.find(addr)
+	if i >= 0 {
+		c.touch(base, i)
+		return true
+	}
+	c.fill(base, empty, key)
+	return false
+}
+
+// Install installs the line containing addr as MRU unless it is resident,
+// in which case nothing changes. It reports whether the line was resident.
+func (c *Cache) Install(addr isa.Addr) bool {
+	base, i, empty, key := c.find(addr)
+	if i >= 0 {
+		return true
+	}
+	c.fill(base, empty, key)
+	return false
+}
+
+// fill puts key into the set at base, in its last empty way or else in its
+// oldest way, and marks that way MRU.
+func (c *Cache) fill(base, empty int, key uint64) {
+	i := empty
 	if i < 0 {
 		i = base
-		for w := base; w < base+c.ways; w++ {
-			if !c.valid[w] {
-				i = w
-			} else if c.valid[i] && c.age[w] >= c.age[i] {
+		for w := base + 1; w < base+c.ways; w++ {
+			if c.age[w] >= c.age[i] {
 				i = w
 			}
 		}
-		c.tags[i] = tag
-		c.valid[i] = true
 	}
+	c.keys[i] = key
 	c.touch(base, i)
 }
 

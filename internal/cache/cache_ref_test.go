@@ -9,8 +9,11 @@ import (
 
 // refCache is the reference model of a Cache: the same per-set age
 // permutation, but finding set and tag with two divisions by the set
-// count, which Cache replaced with a mask and a shift. The test below
-// drives both with the same operations and requires the same answers.
+// count, which Cache replaced with a mask and a shift, keeping a valid
+// flag beside each tag, which Cache folds into the tag, and looking up
+// and filling in two set scans, which Cache's Access does in one. The
+// test below drives both with the same operations and requires the same
+// answers.
 type refCache struct {
 	sets  int
 	ways  int
@@ -42,6 +45,7 @@ func (c *refCache) setAndTag(addr isa.Addr) (int, uint64) {
 	return int(line % uint64(c.sets)), line / uint64(c.sets)
 }
 
+// Access looks addr up, updating LRU; it does not fill.
 func (c *refCache) Access(addr isa.Addr) bool {
 	s, tag := c.setAndTag(addr)
 	base := s * c.ways
@@ -65,6 +69,7 @@ func (c *refCache) Probe(addr isa.Addr) bool {
 	return false
 }
 
+// Fill installs the line containing addr (LRU victim), marking it MRU.
 func (c *refCache) Fill(addr isa.Addr) {
 	s, tag := c.setAndTag(addr)
 	base := s * c.ways
@@ -101,9 +106,11 @@ func (c *refCache) touch(s, w int) {
 }
 
 // TestCacheMatchesDivisionReference drives every level of NewHierarchy and
-// the division reference of the same geometry with the same 1M Accesses,
-// Probes and Fills over an address range of about three times the level's
-// capacity. Every Access and Probe must agree on hit or miss.
+// the division reference of the same geometry with the same 1M operations
+// over an address range of about three times the level's capacity. Access
+// is the reference's Access followed, on a miss, by its Fill; Fill is the
+// reference's Probe and Fill; Install its Probe and, on a miss, its Fill.
+// Every answer and both counters must agree.
 func TestCacheMatchesDivisionReference(t *testing.T) {
 	levels := []struct {
 		sizeBytes, ways, lineBytes int
@@ -120,14 +127,14 @@ func TestCacheMatchesDivisionReference(t *testing.T) {
 	for li, lv := range levels {
 		name := built[li].Name()
 		t.Run(name, func(t *testing.T) {
-			if got := built[li]; got.ways != lv.ways || got.lineBytes != lv.lineBytes || len(got.tags)*lv.lineBytes != lv.sizeBytes {
+			if got := built[li]; got.ways != lv.ways || got.lineBytes != lv.lineBytes || len(got.keys)*lv.lineBytes != lv.sizeBytes {
 				t.Fatalf("NewHierarchy's %s is not %d B / %d-way / %d B lines", name, lv.sizeBytes, lv.ways, lv.lineBytes)
 			}
 			c := NewCache(name, lv.sizeBytes, lv.ways, lv.lineBytes)
 			ref := newRefCache(lv.sizeBytes, lv.ways, lv.lineBytes)
 			lines := lv.sizeBytes / lv.lineBytes
 			r := xrand.New(0xCAC0 + uint64(li))
-			hits := 0
+			var accesses, misses uint64
 			for op := 0; op < ops; op++ {
 				// Half the draws favour low lines, so hot lines hit while
 				// the rest of the range keeps evicting.
@@ -136,26 +143,34 @@ func TestCacheMatchesDivisionReference(t *testing.T) {
 					span = 1 + r.Intn(span)
 				}
 				addr := isa.Addr(0x1000_0000 + uint64(r.Intn(span))*uint64(lv.lineBytes) + uint64(r.Intn(lv.lineBytes)))
+				var got, want bool
 				switch roll := r.Intn(10); {
-				case roll < 4:
-					c.Fill(addr)
+				case roll < 3:
+					got, want = c.Fill(addr), ref.Probe(addr)
 					ref.Fill(addr)
+				case roll < 4:
+					got, want = c.Install(addr), ref.Probe(addr)
+					if !want {
+						ref.Fill(addr)
+					}
 				case roll < 5:
-					if got, want := c.Probe(addr), ref.Probe(addr); got != want {
-						t.Fatalf("op %d: Probe(%#x) = %v, reference %v", op, addr, got, want)
-					}
+					got, want = c.Probe(addr), ref.Probe(addr)
 				default:
-					got, want := c.Access(addr), ref.Access(addr)
-					if got != want {
-						t.Fatalf("op %d: Access(%#x) = %v, reference %v", op, addr, got, want)
-					}
-					if got {
-						hits++
+					got, want = c.Access(addr), ref.Access(addr)
+					accesses++
+					if !want {
+						misses++
+						ref.Fill(addr)
 					}
 				}
+				if got != want {
+					t.Fatalf("op %d: %v answered %v, reference %v", op, addr, got, want)
+				}
 			}
-			accesses := int(c.Accesses)
-			if hits < accesses/10 || hits > accesses*9/10 {
+			if c.Accesses != accesses || c.Misses != misses {
+				t.Fatalf("counted %d accesses and %d misses, reference %d and %d", c.Accesses, c.Misses, accesses, misses)
+			}
+			if hits := accesses - misses; hits < accesses/10 || hits > accesses*9/10 {
 				t.Errorf("%d hits in %d accesses: the address range does not exercise both hits and evictions", hits, accesses)
 			}
 		})

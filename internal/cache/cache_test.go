@@ -12,7 +12,12 @@ func TestAccessMissThenFillHits(t *testing.T) {
 	if c.Access(0x1000) {
 		t.Fatal("cold hit")
 	}
-	c.Fill(0x1000)
+	if !c.Probe(0x1000) {
+		t.Fatal("a demand miss did not fill its line")
+	}
+	if !c.Fill(0x1000) {
+		t.Fatal("Fill of a resident line reported it absent")
+	}
 	if !c.Access(0x1000) {
 		t.Fatal("miss after fill")
 	}

@@ -1,6 +1,10 @@
 package cache
 
-import "elfetch/internal/isa"
+import (
+	"slices"
+
+	"elfetch/internal/isa"
+)
 
 // Latencies per Table II, in cycles.
 type Latencies struct {
@@ -27,22 +31,30 @@ type Hierarchy struct {
 	// behind the earliest completion. 0 disables the bound.
 	MaxDMSHR int
 	// dMSHR holds the completion times of in-flight data misses
-	// relative to the caller-maintained clock (see SetClock).
-	dMSHR []uint64
-	now   uint64
+	// relative to the caller-maintained clock (see SetClock), and
+	// earliest the smallest of them (^0 when there are none).
+	dMSHR    []uint64
+	earliest uint64
+	now      uint64
 
 	// DMSHRQueued counts accesses delayed by MSHR exhaustion.
 	DMSHRQueued uint64
 }
 
 // SetClock advances the hierarchy's notion of time (the pipeline calls it
-// once per cycle); completed MSHRs free up.
+// once per cycle); completed MSHRs free up. Until the earliest miss
+// completes, none does, so it only records the time.
 func (h *Hierarchy) SetClock(now uint64) {
 	h.now = now
+	if now < h.earliest {
+		return
+	}
 	kept := h.dMSHR[:0]
+	h.earliest = ^uint64(0)
 	for _, t := range h.dMSHR {
 		if t > now {
 			kept = append(kept, t)
+			h.earliest = min(h.earliest, t)
 		}
 	}
 	h.dMSHR = kept
@@ -57,41 +69,33 @@ func (h *Hierarchy) mshrDelay(lat int) int {
 	extra := 0
 	if len(h.dMSHR) >= h.MaxDMSHR {
 		// Wait for the earliest in-flight miss to complete.
-		earliest := h.dMSHR[0]
-		for _, t := range h.dMSHR {
-			if t < earliest {
-				earliest = t
-			}
-		}
-		if earliest > h.now {
-			extra = int(earliest - h.now)
+		if h.earliest > h.now {
+			extra = int(h.earliest - h.now)
 		}
 		if extra > h.Lat.Mem {
 			extra = h.Lat.Mem // sanity cap: one full memory round
 		}
 		// Replace the earliest (it retires as we occupy its slot).
-		for i, t := range h.dMSHR {
-			if t == earliest {
-				h.dMSHR[i] = h.now + uint64(extra+lat)
-				break
-			}
-		}
+		h.dMSHR[slices.Index(h.dMSHR, h.earliest)] = h.now + uint64(extra+lat)
+		h.earliest = slices.Min(h.dMSHR)
 		h.DMSHRQueued++
 		return extra
 	}
 	h.dMSHR = append(h.dMSHR, h.now+uint64(lat))
+	h.earliest = min(h.earliest, h.now+uint64(lat))
 	return 0
 }
 
 // NewHierarchy builds the Table II configuration.
 func NewHierarchy() *Hierarchy {
 	h := &Hierarchy{
-		L0I: NewCache("L0I", 24<<10, 3, 64),
-		L1I: NewCache("L1I", 64<<10, 8, 64),
-		L1D: NewCache("L1D", 32<<10, 8, 64),
-		L2:  NewCache("L2", 512<<10, 8, 128),
-		L3:  NewCache("L3", 16<<20, 16, 128),
-		Lat: DefaultLatencies(),
+		L0I:      NewCache("L0I", 24<<10, 3, 64),
+		L1I:      NewCache("L1I", 64<<10, 8, 64),
+		L1D:      NewCache("L1D", 32<<10, 8, 64),
+		L2:       NewCache("L2", 512<<10, 8, 128),
+		L3:       NewCache("L3", 16<<20, 16, 128),
+		Lat:      DefaultLatencies(),
+		earliest: ^uint64(0),
 	}
 	h.DPrefetch = NewStridePrefetcher(h)
 	h.MaxDMSHR = 16
@@ -99,56 +103,41 @@ func NewHierarchy() *Hierarchy {
 }
 
 // FetchLatency performs a demand instruction fetch of the line containing
-// pc and returns the access latency in cycles (1 on an L0I hit).
+// pc and returns the access latency in cycles (1 on an L0I hit). Each
+// level that misses fills the line as it is looked up.
 func (h *Hierarchy) FetchLatency(pc isa.Addr) int {
-	if h.L0I.Access(pc) {
+	switch {
+	case h.L0I.Access(pc):
 		return h.Lat.L0I
-	}
-	if h.L1I.Access(pc) {
-		h.L0I.Fill(pc)
+	case h.L1I.Access(pc):
 		return h.Lat.L1I
-	}
-	if h.L2.Access(pc) {
-		h.L1I.Fill(pc)
-		h.L0I.Fill(pc)
+	case h.L2.Access(pc):
 		return h.Lat.L2
-	}
-	if h.L3.Access(pc) {
-		h.L2.Fill(pc)
-		h.L1I.Fill(pc)
-		h.L0I.Fill(pc)
+	case h.L3.Access(pc):
 		return h.Lat.L3
 	}
-	h.L3.Fill(pc)
-	h.L2.Fill(pc)
-	h.L1I.Fill(pc)
-	h.L0I.Fill(pc)
 	return h.Lat.Mem
 }
 
 // PrefetchI prefetches the line containing pc into L1I and L0I (the
 // FAQ-driven instruction prefetch of Table II) and returns the cycles the
-// fill will take to arrive (0 if already resident in L0I).
+// fill will take to arrive (0 if already resident in L0I). The line is
+// refreshed or installed in L1I and L2, and installed in L3 only when
+// neither held it; a resident L3 line is not refreshed.
 func (h *Hierarchy) PrefetchI(pc isa.Addr) int {
-	if h.L0I.Probe(pc) {
+	if h.L0I.Install(pc) {
 		return 0
 	}
-	var lat int
+	inL1I, inL2 := h.L1I.Fill(pc), h.L2.Fill(pc)
 	switch {
-	case h.L1I.Probe(pc):
-		lat = h.Lat.L1I
-	case h.L2.Probe(pc):
-		lat = h.Lat.L2
-	case h.L3.Probe(pc):
-		lat = h.Lat.L3
-	default:
-		lat = h.Lat.Mem
-		h.L3.Fill(pc)
+	case inL1I:
+		return h.Lat.L1I
+	case inL2:
+		return h.Lat.L2
+	case h.L3.Install(pc):
+		return h.Lat.L3
 	}
-	h.L2.Fill(pc)
-	h.L1I.Fill(pc)
-	h.L0I.Fill(pc)
-	return lat
+	return h.Lat.Mem
 }
 
 // DataLatency performs a demand load/store access and returns the
@@ -168,22 +157,15 @@ func (h *Hierarchy) WrongPathData(addr isa.Addr) int {
 }
 
 func (h *Hierarchy) dataAccess(addr isa.Addr) int {
-	if h.L1D.Access(addr) {
-		return h.Lat.L1D
-	}
 	var lat int
 	switch {
+	case h.L1D.Access(addr):
+		return h.Lat.L1D
 	case h.L2.Access(addr):
-		h.L1D.Fill(addr)
 		lat = h.Lat.L2
 	case h.L3.Access(addr):
-		h.L2.Fill(addr)
-		h.L1D.Fill(addr)
 		lat = h.Lat.L3
 	default:
-		h.L3.Fill(addr)
-		h.L2.Fill(addr)
-		h.L1D.Fill(addr)
 		lat = h.Lat.Mem
 	}
 	return lat + h.mshrDelay(lat)
@@ -237,9 +219,8 @@ func (p *StridePrefetcher) Observe(pc, addr isa.Addr) {
 		next := addr
 		for d := 0; d < p.Degree; d++ {
 			next = isa.Addr(int64(next) + stride)
-			if !p.h.L1D.Probe(next) {
+			if !p.h.L1D.Install(next) {
 				p.h.L2.Fill(next)
-				p.h.L1D.Fill(next)
 				p.Issued++
 			}
 		}

@@ -193,7 +193,13 @@ func (c *Config) Validate() error {
 	if c.BPredToFetch < 1 {
 		return fmt.Errorf("pipeline: BPredToFetch must be >= 1")
 	}
+	if c.MaxPrefetch < 0 {
+		return fmt.Errorf("pipeline: MaxPrefetch %d is negative (0 disables instruction prefetch)", c.MaxPrefetch)
+	}
 	if err := c.BTB.Validate(); err != nil {
+		return fmt.Errorf("pipeline: %w", err)
+	}
+	if err := c.Backend.Validate(); err != nil {
 		return fmt.Errorf("pipeline: %w", err)
 	}
 	return nil

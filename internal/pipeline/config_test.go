@@ -3,6 +3,7 @@ package pipeline
 import (
 	"testing"
 
+	"elfetch/internal/backend"
 	"elfetch/internal/btb"
 	"elfetch/internal/core"
 )
@@ -111,6 +112,53 @@ func TestValidateBTBGeometry(t *testing.T) {
 				}
 			}()
 			btb.New(c.BTB)
+		})
+	}
+}
+
+// TestValidateBackend pins the back-end checks of Validate: a size, width,
+// port count or latency that is not positive, a ROB above backend.MaxROB
+// and a negative MaxPrefetch are refused before pipeline.New sizes
+// anything from them. The huge ROB goes through Validate only: the
+// rounding loop in backend.New would never end on it.
+func TestValidateBackend(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*Config)
+		ok   bool
+	}{
+		{"default", func(*Config) {}, true},
+		{"one-entry ROB", func(c *Config) { c.Backend.ROB = 1 }, true},
+		{"largest ROB", func(c *Config) { c.Backend.ROB = backend.MaxROB }, true},
+		{"no prefetch", func(c *Config) { c.MaxPrefetch = 0 }, true},
+		{"negative ROB", func(c *Config) { c.Backend.ROB = -1 }, false},
+		{"zero ROB", func(c *Config) { c.Backend.ROB = 0 }, false},
+		{"ROB above the bound", func(c *Config) { c.Backend.ROB = backend.MaxROB + 1 }, false},
+		{"huge ROB", func(c *Config) { c.Backend.ROB = 1<<62 + 1 }, false},
+		{"zero IQ", func(c *Config) { c.Backend.IQ = 0 }, false},
+		{"zero LSQ", func(c *Config) { c.Backend.LSQ = 0 }, false},
+		{"zero rename width", func(c *Config) { c.Backend.RenameWidth = 0 }, false},
+		{"zero commit width", func(c *Config) { c.Backend.CommitWidth = 0 }, false},
+		{"negative commit width", func(c *Config) { c.Backend.CommitWidth = -1 }, false},
+		{"zero ALU ports", func(c *Config) { c.Backend.ALUPorts = 0 }, false},
+		{"zero MulDiv ports", func(c *Config) { c.Backend.MulDivPorts = 0 }, false},
+		{"zero memory ports", func(c *Config) { c.Backend.MemPorts = 0 }, false},
+		{"zero SIMD ports", func(c *Config) { c.Backend.SIMDPorts = 0 }, false},
+		{"zero ALU latency", func(c *Config) { c.Backend.ALULat = 0 }, false},
+		{"negative ALU latency", func(c *Config) { c.Backend.ALULat = -1 }, false},
+		{"zero MulDiv latency", func(c *Config) { c.Backend.MulDivLat = 0 }, false},
+		{"zero SIMD latency", func(c *Config) { c.Backend.SIMDLat = 0 }, false},
+		{"zero AGU latency", func(c *Config) { c.Backend.AGULat = 0 }, false},
+		{"zero branch latency", func(c *Config) { c.Backend.BranchLat = 0 }, false},
+		{"negative MaxPrefetch", func(c *Config) { c.MaxPrefetch = -1 }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := DefaultConfig()
+			tc.edit(&c)
+			if err := c.Validate(); (err == nil) != tc.ok {
+				t.Fatalf("Validate() = %v, want ok=%v", err, tc.ok)
+			}
 		})
 	}
 }

@@ -31,11 +31,14 @@ go test ./...
 # registry × golden-config grid and of every other experiment-registry
 # cell, and the steady-state zero-allocation contract.
 go test -count=1 -run 'TestGoldenStatsEquivalence|TestGoldenExperimentCells' ./internal/eval/ && go test -count=1 -run TestSteadyStateZeroAllocs .
-# Per-access table costs (DESIGN.md §17): each rewritten structure answers
-# as its reference model does (the age-permutation BTB banks and caches,
-# the counting history fold and three-fold TAGE index/tag, the whole-window
-# store scans), and the BTB geometry a set mask cannot index is rejected.
-go test -count=1 -run 'TestBankMatchesAgeReference|TestBTBMatchesAgeReference|TestCacheMatchesDivisionReference|TestFoldMatchesReference|TestTAGEIndexTagMatchesReference|TestWindowScansMatchReference|TestValidateBTBGeometry' ./internal/btb/ ./internal/cache/ ./internal/bpred/ ./internal/backend/ ./internal/pipeline/
+# Per-access table costs and per-event back-end and cache work (DESIGN.md
+# §17): each rewritten structure answers as its reference model does (the
+# age-permutation BTB banks, the division-indexed caches with separate
+# lookup and fill, the counting history fold and three-fold TAGE
+# index/tag, the whole-window store and load scans and the squash's full
+# rebuild, the per-cycle MSHR compaction), and Validate rejects a BTB
+# geometry a set mask cannot index and a back end that cannot run.
+go test -count=1 -run 'TestBankMatchesAgeReference|TestBTBMatchesAgeReference|TestCacheMatchesDivisionReference|TestMSHRMatchesPerCycleReference|TestFoldMatchesReference|TestTAGEIndexTagMatchesReference|TestWindowScansMatchReference|TestValidateBTBGeometry|TestValidateBackend' ./internal/btb/ ./internal/cache/ ./internal/bpred/ ./internal/backend/ ./internal/pipeline/
 go test -race ./internal/sched/... ./internal/eval/... ./internal/exec/... ./internal/obs/... ./internal/pipeline/... ./internal/store/... ./cmd/elfd/...
 # Observability gates, named so a failure is legible on its own: the
 # federation merge golden (the fleet /metrics view is a wire format) and
