@@ -119,6 +119,23 @@ func TestErrorEnvelope(t *testing.T) {
 			configCell(func(c *pipeline.Config) { c.Backend.ALULat = 0 }), http.StatusBadRequest, "bad_request"},
 		{"cell ALU latency negative", "POST", "/v1/cells",
 			configCell(func(c *pipeline.Config) { c.Backend.ALULat = -1 }), http.StatusBadRequest, "bad_request"},
+		// So are sizes that would allocate more than a host has, or a
+		// fetch group wider than the two L0I lines coupled fetch tracks
+		// (which panicked), and run lengths whose sum wraps a uint64
+		// (which simulated until the safety cycle bound).
+		{"cell huge L2 BTB", "POST", "/v1/cells",
+			btbCell(func(c *btb.Config) { c.L2Entries = 1 << 34 }), http.StatusBadRequest, "bad_request"},
+		{"cell huge FAQ", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.FAQSize = 1 << 40 }), http.StatusBadRequest, "bad_request"},
+		{"cell huge MaxPrefetch", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.MaxPrefetch = 1 << 40 }), http.StatusBadRequest, "bad_request"},
+		{"cell huge commit width", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { c.Backend.CommitWidth = 1 << 40 }), http.StatusBadRequest, "bad_request"},
+		{"cell NoDCF fetch width 18", "POST", "/v1/cells",
+			configCell(func(c *pipeline.Config) { *c = c.NoDCF(); c.FetchWidth = 18 }), http.StatusBadRequest, "bad_request"},
+		{"cell run lengths wrap", "POST", "/v1/cells",
+			eval.Cell{Workload: "641.leela_s", Config: pipeline.DefaultConfig(), Warmup: 1<<64 - 1, Measure: 1},
+			http.StatusBadRequest, "bad_request"},
 		// Bodies past maxRequestBytes are refused before they are read
 		// in full, however well-formed.
 		{"cell over the body bound", "POST", "/v1/cells",

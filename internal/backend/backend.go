@@ -47,13 +47,20 @@ func DefaultConfig() Config {
 // allocates before it runs.
 const MaxROB = 4096
 
+// MaxCommitWidth bounds Config.CommitWidth at 16 times Table II's 9. New
+// sizes the retired-uop buffer from it.
+const MaxCommitWidth = 144
+
 // Validate rejects a configuration the engine cannot run: every size,
 // width, port count and latency must be positive (a zero one stalls the
-// engine or, for a latency, loses the completion), and ROB at most
-// MaxROB.
+// engine or, for a latency, loses the completion), ROB at most MaxROB and
+// CommitWidth at most MaxCommitWidth.
 func (c Config) Validate() error {
 	if c.ROB > MaxROB {
 		return fmt.Errorf("backend: ROB %d above %d", c.ROB, MaxROB)
+	}
+	if c.CommitWidth > MaxCommitWidth {
+		return fmt.Errorf("backend: CommitWidth %d above %d", c.CommitWidth, MaxCommitWidth)
 	}
 	for _, f := range []struct {
 		name string
@@ -241,11 +248,8 @@ func (b *Backend) Occupancy() int { return int(b.robTail - b.robHead) }
 // returns false (and leaves the uop untaken) when a resource is exhausted.
 // The caller enforces the rename-width limit per cycle.
 func (b *Backend) Accept(u *uop.Uop) bool {
-	if b.ROBFull() || b.iqCount >= b.cfg.IQ {
-		return false
-	}
 	class := u.SI.Class
-	if class.IsMemory() && b.lsqCount >= b.cfg.LSQ {
+	if b.full(class) {
 		return false
 	}
 	id := b.robTail
@@ -319,6 +323,12 @@ func (b *Backend) Accept(u *uop.Uop) bool {
 		b.ready = append(b.ready, slotIdx)
 	}
 	return true
+}
+
+// full reports whether Accept refuses a uop of the given class: the ROB or
+// the issue queue is full, or, for a load or store, the load/store queue.
+func (b *Backend) full(class isa.Class) bool {
+	return b.ROBFull() || b.iqCount >= b.cfg.IQ || class.IsMemory() && b.lsqCount >= b.cfg.LSQ
 }
 
 // pendingStore returns the id of the youngest in-flight store at pc whose
@@ -602,6 +612,29 @@ func (b *Backend) sortReady() {
 		}
 		r[j] = s
 	}
+}
+
+// WaitUntil returns the first cycle at or after now at which Commit or
+// Cycle can change the engine, or Accept(next) take next, while nothing
+// else is accepted. It is now itself when next fits, an entry is ready to
+// issue, a resolution is pending, the commit fence is up or the ROB head
+// has completed. Otherwise nothing moves until an issued entry's
+// completion: the answer is the first cycle whose wheel bucket holds any
+// slot, even one only re-armed for a later revolution or left stale by a
+// squash, because complete visits buckets in order and drops or re-arms
+// them there; and ^uint64(0) when the wheel is empty.
+func (b *Backend) WaitUntil(now uint64, next *uop.Uop) uint64 {
+	if !b.full(next.SI.Class) || len(b.ready) > 0 || b.pendingResolutions.Len() > 0 ||
+		b.commitLimit != ^uint64(0) || b.robHead < b.robTail && b.slot(b.robHead).state == stDone {
+		return now
+	}
+	n := uint64(len(b.wheel))
+	for d := uint64(0); d < n; d++ {
+		if len(b.wheel[(now+d)%n]) > 0 {
+			return now + d
+		}
+	}
+	return ^uint64(0)
 }
 
 // LimitCommit fences retirement: entries with id >= limit stay in the ROB

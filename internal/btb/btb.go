@@ -220,12 +220,26 @@ func DefaultConfig() Config {
 	return Config{L0Entries: 24, L1Entries: 256, L1Ways: 4, L2Entries: 4096, L2Ways: 8}
 }
 
+// MaxEntries bounds each level's entry count at 16 times Table II's 4K
+// L2. New gives every entry a start, an entry and a stamp, so the bound
+// caps what one BTB allocates.
+const MaxEntries = 1 << 16
+
 // Validate rejects a geometry New cannot build. L0Entries is 0 (no L0) or
 // positive; L1 and L2 need positive entries and ways, entries divisible by
-// ways, and a power-of-two set count, so that a mask finds the set.
+// ways, and a power-of-two set count, so that a mask finds the set. No
+// level holds more than MaxEntries.
 func (c Config) Validate() error {
 	if c.L0Entries < 0 {
 		return fmt.Errorf("btb: L0Entries %d is negative (0 disables the L0)", c.L0Entries)
+	}
+	for _, l := range []struct {
+		name    string
+		entries int
+	}{{"L0", c.L0Entries}, {"L1", c.L1Entries}, {"L2", c.L2Entries}} {
+		if l.entries > MaxEntries {
+			return fmt.Errorf("btb: %s of %d entries above %d", l.name, l.entries, MaxEntries)
+		}
 	}
 	if setCount(c.L1Entries, c.L1Ways) == 0 {
 		return fmt.Errorf("btb: L1 of %d entries in %d ways: want positive entries and ways and a power-of-two set count", c.L1Entries, c.L1Ways)

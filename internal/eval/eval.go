@@ -68,9 +68,11 @@ func (p Params) Validate() error {
 	if p.Measure == 0 {
 		return fmt.Errorf("eval: Measure must be positive")
 	}
-	if p.Warmup+p.Measure > MaxRunInsts {
-		return fmt.Errorf("eval: Warmup+Measure %d exceeds the %d-instruction budget",
-			p.Warmup+p.Measure, uint64(MaxRunInsts))
+	// Compared term by term: the sum of two uint64s can wrap past the
+	// budget and read as within it.
+	if p.Warmup > MaxRunInsts || p.Measure > MaxRunInsts-p.Warmup {
+		return fmt.Errorf("eval: Warmup %d + Measure %d exceeds the %d-instruction budget",
+			p.Warmup, p.Measure, uint64(MaxRunInsts))
 	}
 	if p.Parallel < 0 {
 		return fmt.Errorf("eval: negative Parallel")

@@ -24,6 +24,9 @@ func TestParamsValidate(t *testing.T) {
 		{Warmup: 100, Measure: 0},
 		{Warmup: MaxRunInsts, Measure: 1},
 		{Measure: 1, Parallel: -1},
+		// Sums that wrap a uint64 must not read as within the budget.
+		{Warmup: 1<<64 - 1, Measure: 1},
+		{Warmup: 1 << 63, Measure: 1 << 63},
 	} {
 		if err := p.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", p)

@@ -182,10 +182,29 @@ func (c Config) Name() string {
 	return c.Variant.String()
 }
 
+// Upper bounds on the fields New sizes allocations from, so that one
+// configuration cannot ask for more memory than a host has.
+const (
+	// MaxFetchWidth is twice Table II's 8. fetchCoupled tracks at most
+	// two L0I lines per group, and 16 sequential instructions span at
+	// most two 64-byte lines (18 can span three).
+	MaxFetchWidth = 16
+	// MaxFAQSize bounds the decoupling queue at 16 times Table II's 32.
+	MaxFAQSize = 512
+	// MaxPrefetches bounds MaxPrefetch at 16 times Table II's 4.
+	MaxPrefetches = 64
+)
+
 // Validate rejects inconsistent configurations.
 func (c *Config) Validate() error {
 	if c.FetchWidth <= 0 || c.FAQSize <= 0 {
 		return fmt.Errorf("pipeline: non-positive width/FAQ")
+	}
+	if c.FetchWidth > MaxFetchWidth {
+		return fmt.Errorf("pipeline: FetchWidth %d above %d", c.FetchWidth, MaxFetchWidth)
+	}
+	if c.FAQSize > MaxFAQSize {
+		return fmt.Errorf("pipeline: FAQSize %d above %d", c.FAQSize, MaxFAQSize)
 	}
 	if c.Front == FrontNoDCF && c.Variant != core.NoELF {
 		return fmt.Errorf("pipeline: ELF variant requires the DCF front-end")
@@ -193,8 +212,8 @@ func (c *Config) Validate() error {
 	if c.BPredToFetch < 1 {
 		return fmt.Errorf("pipeline: BPredToFetch must be >= 1")
 	}
-	if c.MaxPrefetch < 0 {
-		return fmt.Errorf("pipeline: MaxPrefetch %d is negative (0 disables instruction prefetch)", c.MaxPrefetch)
+	if c.MaxPrefetch < 0 || c.MaxPrefetch > MaxPrefetches {
+		return fmt.Errorf("pipeline: MaxPrefetch %d outside [0, %d] (0 disables instruction prefetch)", c.MaxPrefetch, MaxPrefetches)
 	}
 	if err := c.BTB.Validate(); err != nil {
 		return fmt.Errorf("pipeline: %w", err)

@@ -74,8 +74,10 @@ func TestParseFront(t *testing.T) {
 // TestValidateBTBGeometry pins the BTB geometry rule: L0Entries is 0 (no
 // L0, as the ablate experiment uses) or positive, and L1 and L2 need
 // positive entries and ways, entries divisible by ways and a power-of-two
-// set count, so that a mask finds the set. btb.New builds every geometry
-// Validate accepts and panics on every one it rejects.
+// set count, so that a mask finds the set, and no level holds more than
+// btb.MaxEntries. btb.New builds every geometry Validate accepts and
+// panics on every one it rejects within that bound; the geometries above
+// it go through Validate only.
 func TestValidateBTBGeometry(t *testing.T) {
 	cases := []struct {
 		name string
@@ -97,6 +99,13 @@ func TestValidateBTBGeometry(t *testing.T) {
 		{"zero L2 entries", func(c *btb.Config) { c.L2Entries = 0 }, false},
 		{"zero L2 ways", func(c *btb.Config) { c.L2Ways = 0 }, false},
 		{"3 L2 sets", func(c *btb.Config) { c.L2Entries = 24 }, false},
+		{"largest L0", func(c *btb.Config) { c.L0Entries = btb.MaxEntries }, true},
+		{"largest L2", func(c *btb.Config) { c.L2Entries = btb.MaxEntries }, true},
+		// Over the bound: Validate only, since btb.New would try to
+		// allocate them (1<<34 L2 entries is about 1.2 TB).
+		{"L0 above the bound", func(c *btb.Config) { c.L0Entries = btb.MaxEntries + 1 }, false},
+		{"L1 above the bound", func(c *btb.Config) { c.L1Entries = 2 * btb.MaxEntries }, false},
+		{"huge L2", func(c *btb.Config) { c.L2Entries = 1 << 34 }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,6 +114,9 @@ func TestValidateBTBGeometry(t *testing.T) {
 			err := c.Validate()
 			if (err == nil) != tc.ok {
 				t.Fatalf("Validate() = %v, want ok=%v", err, tc.ok)
+			}
+			if max(c.BTB.L0Entries, c.BTB.L1Entries, c.BTB.L2Entries) > btb.MaxEntries {
+				return
 			}
 			defer func() {
 				if r := recover(); (r == nil) != tc.ok {
@@ -117,10 +129,13 @@ func TestValidateBTBGeometry(t *testing.T) {
 }
 
 // TestValidateBackend pins the back-end checks of Validate: a size, width,
-// port count or latency that is not positive, a ROB above backend.MaxROB
-// and a negative MaxPrefetch are refused before pipeline.New sizes
-// anything from them. The huge ROB goes through Validate only: the
-// rounding loop in backend.New would never end on it.
+// port count or latency that is not positive, a ROB above backend.MaxROB,
+// a commit width above backend.MaxCommitWidth, a fetch width, FAQ depth or
+// prefetch bound above MaxFetchWidth, MaxFAQSize or MaxPrefetches, and a
+// negative MaxPrefetch are refused before pipeline.New sizes anything from
+// them. The huge values go through Validate only: the rounding loop in
+// backend.New would never end on a huge ROB, and the others would ask for
+// more memory than a host has.
 func TestValidateBackend(t *testing.T) {
 	cases := []struct {
 		name string
@@ -151,6 +166,18 @@ func TestValidateBackend(t *testing.T) {
 		{"zero AGU latency", func(c *Config) { c.Backend.AGULat = 0 }, false},
 		{"zero branch latency", func(c *Config) { c.Backend.BranchLat = 0 }, false},
 		{"negative MaxPrefetch", func(c *Config) { c.MaxPrefetch = -1 }, false},
+		{"widest commit", func(c *Config) { c.Backend.CommitWidth = backend.MaxCommitWidth }, true},
+		{"widest fetch", func(c *Config) { c.FetchWidth = MaxFetchWidth }, true},
+		{"deepest FAQ", func(c *Config) { c.FAQSize = MaxFAQSize }, true},
+		{"most prefetches", func(c *Config) { c.MaxPrefetch = MaxPrefetches }, true},
+		{"commit width above the bound", func(c *Config) { c.Backend.CommitWidth = backend.MaxCommitWidth + 1 }, false},
+		{"huge commit width", func(c *Config) { c.Backend.CommitWidth = 1 << 40 }, false},
+		{"fetch group of three lines", func(c *Config) { c.FetchWidth = 18 }, false},
+		{"huge fetch width", func(c *Config) { c.FetchWidth = 1 << 40 }, false},
+		{"FAQ above the bound", func(c *Config) { c.FAQSize = MaxFAQSize + 1 }, false},
+		{"huge FAQ", func(c *Config) { c.FAQSize = 1 << 40 }, false},
+		{"MaxPrefetch above the bound", func(c *Config) { c.MaxPrefetch = MaxPrefetches + 1 }, false},
+		{"huge MaxPrefetch", func(c *Config) { c.MaxPrefetch = 1 << 40 }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

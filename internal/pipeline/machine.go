@@ -271,12 +271,30 @@ func (m *Machine) Run(n uint64) *Stats {
 // simulated cycles it polls ctx and, when the context is done, stops and
 // returns the stats so far alongside ctx.Err(). A wedged machine returns
 // ErrWedged instead of panicking, so servers can survive bad configs.
+//
+// Cycle is the one-cycle step, and RunContext ends where stepping Cycle
+// until n instructions commit would, with the same state and Stats. It
+// may advance the clock over stalled cycles, though: while a full window
+// holds the whole machine still (stallWake), it moves now straight to the
+// next cycle that can change anything and counts the cycles in between
+// as Cycle would have.
 func (m *Machine) RunContext(ctx context.Context, n uint64) (*Stats, error) {
 	target := m.Stats.Committed + n
 	limit := m.now + n*100 + 1_000_000 // safety net: IPC 0.01 floor
 	nextPoll := m.now + abortPollCycles
 	for m.Stats.Committed < target && m.now < limit {
 		m.Cycle()
+		// Once the budget is met the loop ends, as stepping would: a
+		// skip here would add the cycles of a stall no one runs.
+		if m.Stats.Committed < target {
+			if w := m.stallWake(limit); w > m.now {
+				d := w - m.now
+				m.Stats.Cycles += d
+				m.Stats.CycBackpressure += d
+				m.quietCycles += d
+				m.now = w
+			}
+		}
 		if m.now >= nextPoll {
 			nextPoll = m.now + abortPollCycles
 			if err := ctx.Err(); err != nil {
@@ -288,6 +306,62 @@ func (m *Machine) RunContext(ctx context.Context, n uint64) (*Stats, error) {
 		return &m.Stats, ErrWedged
 	}
 	return &m.Stats, nil
+}
+
+// stallWake returns the first cycle at or after now at which Cycle can
+// change the machine, or now itself unless the machine stands in a window
+// stall. In that stall each stage of Cycle is a no-op but for the counts
+// RunContext adds when it skips:
+//   - rename cannot place renameQ's head: the back end refuses it
+//     (Backend.WaitUntil mirrors Accept), and the head's checkpoint bound
+//     is already set, so rename writes nothing;
+//   - the back end issues, commits and resolves nothing until an issued
+//     entry's completion bucket comes round (Backend.WaitUntil);
+//   - renameQ holds more than four fetch groups, so decode holds its
+//     groups and fetch, with no miss, redirect or halt pending, counts
+//     one backpressure cycle;
+//   - the DCF is absent, halted or has a full FAQ, and an elastic
+//     controller is decoupled, where the resync step only compares
+//     tracking vectors nothing adds to;
+//   - no FAQ prefetch completes, and none issues because fetch is not
+//     idle;
+//   - the watchdog sees a busy machine, so it fires only on a perpetual
+//     wrong path, checked when quietCycles reaches a multiple of 64;
+//   - the probe samples the FAQ only at nextFAQSample.
+//
+// The hierarchy's clock is not advanced over the stall: SetClock at the
+// wake cycle frees the same MSHRs as stepping it through every cycle.
+func (m *Machine) stallWake(limit uint64) uint64 {
+	now := m.now
+	if m.renameQ.Len() <= m.cfg.FetchWidth*4 || m.fetchBusyUntil > now || m.redirectAt > now || m.fetchHalted {
+		return now
+	}
+	if m.dcf != nil {
+		if !m.dcf.Halted() && !m.faq.Full() {
+			return now
+		}
+		if m.elf.Variant.Elastic() && m.elf.Mode() != core.Decoupled {
+			return now
+		}
+	}
+	head := m.renameQ.Front()
+	if head.Coupled && head.FetchID <= m.ckptWatermark && !head.CkptBound {
+		return now
+	}
+	w := min(m.be.WaitUntil(now, head), limit)
+	for i := range m.pendingPF {
+		w = min(w, m.pendingPF[i].completeAt)
+	}
+	if m.onWrongPath {
+		// The watchdog's next look for a perpetual wrong path.
+		q := m.quietCycles + 1            // the count Cycle(now) checks
+		check := (max(q, 256) + 63) &^ 63 // the next multiple of 64 from 256 on
+		w = min(w, now+check-q)
+	}
+	if p := m.probe; p != nil && p.FAQOccupancy != nil && m.dcf != nil {
+		w = min(w, m.nextFAQSample)
+	}
+	return w
 }
 
 // Cycle advances the machine one clock.

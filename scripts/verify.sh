@@ -29,8 +29,15 @@ go test ./...
 # Cycle-loop equivalence gates (DESIGN.md §17), named so a hot-loop
 # regression fails with its name in the log: the golden Stats of the
 # registry × golden-config grid and of every other experiment-registry
-# cell, and the steady-state zero-allocation contract.
+# cell; RunContext's window-stall skip against stepping Cycle by hand
+# (the registry × golden configs at 5k/12k and 20k/80k, every other
+# registry cell, a probed and a traced run, and the fuzz seed corpus of
+# workloads, seeds, knobs and small windows), and the skip's reach when
+# a ROB, issue queue or load/store queue is full; and the steady-state
+# zero-allocation contract, whose memory-bound cases drive RunContext so
+# the skip allocates nothing either.
 go test -count=1 -run 'TestGoldenStatsEquivalence|TestGoldenExperimentCells' ./internal/eval/ && go test -count=1 -run TestSteadyStateZeroAllocs .
+go test -count=1 -run 'TestRunMatchesStepping|FuzzRunMatchesStepping|TestStallWakeCoversEachFullQueue' ./internal/pipeline/
 # Per-access table costs and per-event back-end and cache work (DESIGN.md
 # §17): each rewritten structure answers as its reference model does (the
 # age-permutation BTB banks, the division-indexed caches with separate
